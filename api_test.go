@@ -177,25 +177,32 @@ func TestPublicRecoveryAndScrub(t *testing.T) {
 	}
 }
 
-// TestPublicArrayPersistence round-trips an array through the
-// save/reassemble facade.
+// TestPublicArrayPersistence round-trips an array through its directory,
+// the one on-disk form: build file-backed, close, reopen.
 func TestPublicArrayPersistence(t *testing.T) {
+	dir := t.TempDir()
 	code, _ := New(5)
-	a := NewRAID6(code, 64)
+	a, err := NewRAID6Array(code, WithBackend("file:"+dir), WithBlockSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := bytes.Repeat([]byte{7}, 64)
 	if err := a.WriteBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveArray(&buf, a, 1); err != nil {
+	if err := a.Disks().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	restored, m, err := LoadArray(&buf)
+	if err := a.Disks().Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenRAID6Array(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CodeName != "code56" {
-		t.Fatalf("manifest %+v", m)
+	defer restored.Disks().Close()
+	if restored.Code().Name() != "code56" {
+		t.Fatalf("reopened as %s", restored.Code().Name())
 	}
 	out := make([]byte, 64)
 	if err := restored.ReadBlock(0, out); err != nil {
@@ -203,9 +210,6 @@ func TestPublicArrayPersistence(t *testing.T) {
 	}
 	if !bytes.Equal(out, b) {
 		t.Fatal("contents lost")
-	}
-	if _, err := BuildCode(Manifest{Version: 1, CodeName: "rdp", P: 5, BlockSize: 1}); err != nil {
-		t.Fatal(err)
 	}
 }
 

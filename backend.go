@@ -9,7 +9,6 @@ import (
 	"code56/internal/migrate"
 	"code56/internal/raid5"
 	"code56/internal/raid6"
-	"code56/internal/superblock"
 	"code56/internal/vdisk"
 	"code56/internal/vdisk/filestore"
 )
@@ -18,15 +17,18 @@ import (
 // its blocks in sparse image files under <dir>, one per disk, beside two
 // bookkeeping files:
 //
-//	meta.json  the directory's identity (kind, geometry, layout/code),
-//	           replaced atomically — a migration's final commit flips it
-//	           from RAID-5 to RAID-6 in one rename
+//	meta.json  the directory's identity (kind, geometry, layout/code,
+//	           parity rotation, failed disks), replaced atomically — a
+//	           migration's final commit flips it from RAID-5 to RAID-6 in
+//	           one rename
 //	wal.log    the migration intent log (internal/wal): begin, watermark
 //	           checkpoints, finish, meta-done
 //
-// The reopen entry points below need nothing but the directory: geometry
-// comes from meta.json, the on-media disk set from scanning the image
-// files, and in-flight migration state from replaying wal.log.
+// This directory is the one on-disk form of an array; a closed directory
+// copied elsewhere is a snapshot. The reopen entry points below need
+// nothing but the directory: geometry, rotation and failed disks come
+// from meta.json, the on-media disk set from scanning the image files,
+// and in-flight migration state from replaying wal.log.
 
 // BlockStore is the pluggable storage seam a simulated disk reads and
 // writes through; Backend mints one store per disk slot. Implement these
@@ -78,11 +80,11 @@ func (s *Settings) openBackend() (vdisk.Backend, string, error) {
 	if kind == "mem" {
 		return vdisk.MemBackend{}, "", nil
 	}
-	fb, err := filestore.NewBackend(dir)
+	b, err := durable.NewBackend(dir)
 	if err != nil {
 		return nil, "", err
 	}
-	return fb, dir, nil
+	return b, dir, nil
 }
 
 // newRAID5Backend builds a fresh RAID-5 on the settings' backend, writing
@@ -135,19 +137,7 @@ func newRAID6Backend(code Code, s Settings) (*RAID6, error) {
 		return nil, err
 	}
 	if dir != "" {
-		err := durable.Save(dir, durable.Meta{
-			Version:   durable.MetaVersion,
-			Kind:      durable.KindRAID6,
-			BlockSize: s.BlockSize,
-			Disks:     cols,
-			Manifest: &superblock.Manifest{
-				Version:   superblock.ManifestVersion,
-				CodeName:  code.Name(),
-				P:         code.Geometry().P,
-				BlockSize: s.BlockSize,
-			},
-		})
-		if err != nil {
+		if err := durable.Save(dir, durable.RAID6Meta(code, s.BlockSize, 0)); err != nil {
 			disks.Close()
 			return nil, err
 		}
@@ -187,9 +177,10 @@ func attachJournalIfDurable(m *OnlineMigrator, a *RAID5, s Settings) error {
 // array, checking the on-media set covers the meta's disk count. extra
 // images beyond it (a mid-migration diagonal-parity disk) are included —
 // WrapRAID5 ignores trailing disks and a resumed migration expects its
-// added disk to still be there.
+// added disk to still be there. Disks the meta records as failed reopen
+// fail-stopped.
 func openFileDisks(dir string, meta durable.Meta) (*vdisk.Array, error) {
-	fb, err := filestore.NewBackend(dir)
+	b, err := durable.NewBackend(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +201,18 @@ func openFileDisks(dir string, meta durable.Meta) (*vdisk.Array, error) {
 	if !sort.IntsAreSorted(ids) || ids[0] != 0 || ids[len(ids)-1] != len(ids)-1 {
 		return nil, fmt.Errorf("code56: %s: disk images are not a contiguous 0-based set: %v", dir, ids)
 	}
-	return vdisk.NewArrayFrom(meta.BlockSize, fb, ids)
+	disks, err := vdisk.NewArrayFrom(meta.BlockSize, b, ids)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range meta.Failed {
+		if id >= len(ids) {
+			disks.Close()
+			return nil, fmt.Errorf("code56: %s: meta.json records failed disk %d, which has no image", dir, id)
+		}
+		disks.Disk(id).Fail()
+	}
+	return disks, nil
 }
 
 // OpenRAID5Array reopens a file-backed RAID-5 previously created with
@@ -266,7 +268,7 @@ func OpenRAID6Array(dir string, opts ...Option) (*RAID6, error) {
 	if meta.Kind != durable.KindRAID6 {
 		return nil, fmt.Errorf("code56: %s holds a %s array (use OpenRAID5Array)", dir, meta.Kind)
 	}
-	code, err := superblock.BuildCode(*meta.Manifest)
+	code, err := durable.BuildCode(*meta.Manifest)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +281,10 @@ func OpenRAID6Array(dir string, opts ...Option) (*RAID6, error) {
 		disks.Close()
 		return nil, err
 	}
-	a.SetRotation(meta.Manifest.Rotated)
+	if err := a.SetRotation(meta.Manifest.Rotated); err != nil {
+		disks.Close()
+		return nil, err
+	}
 	if err := s.applyDiskPolicies(disks); err != nil {
 		disks.Close()
 		return nil, err

@@ -46,7 +46,6 @@ func main() {
 		throttle = flag.Duration("throttle", 0, "pause between converted stripes (e.g. 5ms)")
 		parallel = flag.Int("parallel", 1, "concurrent stripe-conversion workers (alias of -workers)")
 		workers  = flag.Int("workers", 0, "worker goroutines for conversion (online) or plan execution (offline); 0 = -parallel")
-		snapshot = flag.String("snapshot", "", "write a disk-array snapshot of the converted array to this file")
 		online   = flag.Bool("online", true, "convert online with Algorithm 2; false replays the offline plan via the executor")
 		metrics  = flag.String("metrics", "", "dump final telemetry counters to this file ('-' for stdout, '.json' suffix for JSON)")
 		traceOut = flag.String("trace", "", "write a JSON-lines span/event trace to this file ('-' for stderr)")
@@ -97,7 +96,6 @@ func main() {
 				ops:      *ops,
 				seed:     *seed,
 				throttle: *throttle,
-				snapshot: *snapshot,
 				workers:  *workers,
 				progress: *progress,
 				watch:    *watch,
@@ -141,7 +139,6 @@ type onlineConfig struct {
 	ops                   int
 	seed                  int64
 	throttle              time.Duration
-	snapshot              string
 	workers               int
 	progress, watch       bool
 	backend               string
@@ -368,17 +365,6 @@ func runOnline(cfg onlineConfig) error {
 	fmt.Printf("total I/O during migration+workload: %d reads, %d writes\n", reads, writes)
 	if err := reportCounters(disks, st, base); err != nil {
 		return err
-	}
-	if cfg.snapshot != "" {
-		f, err := os.Create(cfg.snapshot)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r5.Disks().Save(f); err != nil {
-			return err
-		}
-		fmt.Printf("snapshot of the converted array written to %s\n", cfg.snapshot)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,15 +33,6 @@ func TestRunWorkloads(t *testing.T) {
 	}
 	if err := runOnline(online(5, 4, "none", 0)); err == nil {
 		t.Error("non-prime-plus-one disk count accepted")
-	}
-}
-
-func TestRunSnapshot(t *testing.T) {
-	cfg := online(4, 2, "none", 0)
-	cfg.snapshot = filepath.Join(t.TempDir(), "arr.snap")
-	cfg.workers = 4
-	if err := runOnline(cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

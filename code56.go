@@ -189,16 +189,12 @@ func NewRAID5(m, blockSize int, l RAID5Layout) (*RAID5, error) {
 	return raid5.New(m, blockSize, l)
 }
 
-// WrapRAID5 builds a RAID-5 view over existing disks (e.g. restored from a
-// snapshot); extra disks beyond the first m are left untouched.
+// WrapRAID5 builds a RAID-5 view over existing disks (e.g. ones a
+// migration has already grown); extra disks beyond the first m are left
+// untouched.
 func WrapRAID5(disks *DiskArray, m int, l RAID5Layout) (*RAID5, error) {
 	return raid5.Wrap(disks, m, l)
 }
-
-// LoadDiskArray restores a disk array from a snapshot produced by
-// DiskArray.Save — including failure states and latent errors — so
-// simulated arrays and in-flight migrations survive process restarts.
-var LoadDiskArray = vdisk.Load
 
 // NewRAID6 creates a RAID-6 array over fresh simulated disks for the code.
 func NewRAID6(code Code, blockSize int) *RAID6 { return raid6.New(code, blockSize) }

@@ -8,7 +8,8 @@
 // flushes, the moral equivalent of a power cut — then the parent reopens
 // the directory with ResumeMigration, replays the intent log, finishes the
 // conversion from the journaled watermark, and verifies the result
-// block-for-block against what it originally wrote.
+// block-for-block against what it originally wrote — once live, and once
+// more after reopening the committed directory with OpenRAID6Array.
 package main
 
 import (
@@ -103,10 +104,42 @@ func main() {
 
 	// Prove the crash cost nothing: every stripe consistent, scrub clean,
 	// every data block exactly as written before the child was spawned.
+	verify(r6, want)
+	if err := r6.Disks().Sync(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("verified: all %d stripes consistent, scrub clean, all %d blocks intact\n",
+		stripes, blocks)
+
+	// The committed directory now identifies as a RAID-6; a second resume
+	// says so instead of redoing anything.
+	if err := r6.Disks().Close(); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := code56.ResumeMigration(dir); !errors.Is(err, code56.ErrMigrationComplete) {
+		log.Fatalf("resume after commit: want ErrMigrationComplete, got %v", err)
+	}
+	fmt.Println("resume after commit correctly reports the migration complete")
+
+	// The directory is the array's one on-disk form: reopen it as the
+	// RAID-6 it became and check it again from scratch.
+	final, err := code56.OpenRAID6Array(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer final.Disks().Close()
+	verify(final, want)
+	fmt.Printf("reopened %s as a %s RAID-6 (p=%d): verified again\n",
+		dir, final.Code().Name(), final.Code().Geometry().P)
+}
+
+// verify requires every stripe consistent, a clean scrub and every data
+// block exactly as first written.
+func verify(r6 *code56.RAID6, want [][]byte) {
 	for st := int64(0); st < stripes; st++ {
 		ok, err := r6.VerifyStripe(st)
 		if err != nil || !ok {
-			log.Fatalf("stripe %d inconsistent after resume (err=%v)", st, err)
+			log.Fatalf("stripe %d inconsistent (err=%v)", st, err)
 		}
 	}
 	rep, err := r6.Scrub(stripes)
@@ -125,21 +158,6 @@ func main() {
 			log.Fatalf("block %d differs from what was written before the crash", l)
 		}
 	}
-	if err := r6.Disks().Sync(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("verified: all %d stripes consistent, scrub clean, all %d blocks intact\n",
-		stripes, blocks)
-
-	// The committed directory now identifies as a RAID-6; a second resume
-	// says so instead of redoing anything.
-	if err := r6.Disks().Close(); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := code56.ResumeMigration(dir); !errors.Is(err, code56.ErrMigrationComplete) {
-		log.Fatalf("resume after commit: want ErrMigrationComplete, got %v", err)
-	}
-	fmt.Println("resume after commit correctly reports the migration complete")
 }
 
 // child is the crashing half: it opens the durable RAID-5, starts the

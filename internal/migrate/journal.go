@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"code56/internal/durable"
-	"code56/internal/superblock"
 	"code56/internal/wal"
 )
 
@@ -31,7 +30,7 @@ import (
 // simply redone on resume; diagonal-parity conversion is idempotent.
 //
 // The final meta flip is a two-record commit: finish is appended and
-// synced, durable.Save atomically renames the new meta.json into place,
+// synced, durable.Flip atomically renames the new meta.json into place,
 // then meta-done is appended. Replay distinguishes the three crash
 // windows: no finish → resume converting; finish but no meta-done →
 // conversion done, redo the (idempotent) meta flip; meta-done → the
@@ -276,7 +275,7 @@ func (j *Journal) finish(total int64) error {
 		j.state.Finished = true
 	}
 	if !j.state.MetaFlipped {
-		if err := durable.Save(j.dir, j.finishMeta); err != nil {
+		if err := durable.Flip(j.dir, j.finishMeta); err != nil {
 			return err
 		}
 		j.crash.Hit()
@@ -320,20 +319,7 @@ func (m *OnlineMigrator) AttachJournal(j *Journal) error {
 	}
 	j.mu.Lock()
 	j.syncDisks = m.r5.Disks().Sync
-	p := m.code.P()
-	j.finishMeta = durable.Meta{
-		Version:   durable.MetaVersion,
-		Kind:      durable.KindRAID6,
-		BlockSize: m.r5.BlockSize(),
-		Disks:     p,
-		Manifest: &superblock.Manifest{
-			Version:   superblock.ManifestVersion,
-			CodeName:  m.code.Name(),
-			P:         p,
-			BlockSize: m.r5.BlockSize(),
-			Stripes:   m.stripes,
-		},
-	}
+	j.finishMeta = durable.RAID6Meta(m.code, m.r5.BlockSize(), m.stripes)
 	j.mu.Unlock()
 	m.journal = j
 	return nil

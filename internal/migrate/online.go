@@ -287,7 +287,7 @@ func (m *OnlineMigrator) SetProgressFunc(fn func(converted, total int64)) {
 }
 
 // ResumeFrom sets the conversion cursor before Start, for resuming an
-// interrupted migration (e.g. after restoring a disk snapshot): stripes
+// interrupted migration (e.g. after reopening its array directory): stripes
 // below the cursor are assumed already converted.
 func (m *OnlineMigrator) ResumeFrom(stripe int64) error {
 	m.mu.Lock()
@@ -898,10 +898,48 @@ func (m *OnlineMigrator) writeLocked(logical, row int64, disk int, data []byte, 
 	parity := bufpool.Get(blockSize)
 	defer bufpool.Put(parity)
 	if err := newDisk.Read(addr, parity); err != nil {
-		return err
+		if !errors.Is(err, vdisk.ErrLatent) && !errors.Is(err, vdisk.ErrTransient) {
+			return err
+		}
+		// The stored diagonal parity is unreadable: recompute it from the
+		// chain's data blocks, which already hold the new value, and
+		// rewrite it (healing the sector).
+		return m.rewriteDiagonal(row/rows, chainIdx, parity, delta)
 	}
 	xorblk.Xor(parity, delta)
 	return newDisk.Write(addr, parity)
+}
+
+// rewriteDiagonal recomputes diagonal chain i of converted stripe st from
+// its RAID-5 data blocks into parity (buf is scratch) and writes it. The
+// caller holds writeMu, so no application write races the data reads.
+func (m *OnlineMigrator) rewriteDiagonal(st int64, i int, parity, buf []byte) error {
+	rows := int64(m.code.P() - 1)
+	ch := m.code.Chains()[m.code.P()-1+i]
+	for j, c := range ch.Covers {
+		dst := parity
+		if j > 0 {
+			dst = buf
+		}
+		row := st*rows + int64(c.Row)
+		if err := m.r5.Disks().Disk(c.Col).Read(row, dst); err != nil {
+			if rerr := m.r5.ReconstructBlock(row, c.Col, dst); rerr != nil {
+				return fmt.Errorf("migrate: recomputing diagonal parity of stripe %d: %w", st, rerr)
+			}
+		}
+		if j > 0 {
+			xorblk.Xor(parity, buf)
+			m.tel.redirectXORs.Inc()
+		}
+	}
+	if err := m.r5.Disks().Disk(m.code.P()-1).Write(st*rows+int64(ch.Parity.Row), parity); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	m.stats.FaultsRepaired++
+	m.mu.Unlock()
+	m.tel.faultRepairs.Inc()
+	return nil
 }
 
 // Downgrade converts a Code 5-6 RAID-6 back to a RAID-5 (the paper's

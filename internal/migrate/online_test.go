@@ -397,9 +397,33 @@ func TestPauseAroundCompletion(t *testing.T) {
 	mig.Resume()
 }
 
-// TestCrashResumeFromSnapshot: migrate halfway, snapshot the disks
-// ("crash"), restore into a fresh array, resume from the saved cursor, and
-// verify the final RAID-6 — the durability story for long migrations.
+// copyDisks clones every disk's media into a fresh memory array — the
+// in-process stand-in for copying a closed array directory.
+func copyDisks(t *testing.T, src *vdisk.Array) *vdisk.Array {
+	t.Helper()
+	dst := vdisk.NewArray(src.Len(), src.BlockSize())
+	buf := make([]byte, src.BlockSize())
+	for i := 0; i < src.Len(); i++ {
+		from, to := src.Disk(i).Store(), dst.Disk(i).Store()
+		size, err := from.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := int64(0); off < size; off += int64(len(buf)) {
+			if _, err := from.ReadAt(buf, off); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := to.WriteAt(buf, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dst
+}
+
+// TestCrashResumeFromSnapshot: migrate halfway, copy the disks ("crash"),
+// resume on the copy from the saved cursor, and verify the final RAID-6 —
+// the durability story for long migrations.
 func TestCrashResumeFromSnapshot(t *testing.T) {
 	const rows = 4 * 10
 	a, want := newLoadedRAID5(t, 4, rows, 23)
@@ -425,21 +449,14 @@ func TestCrashResumeFromSnapshot(t *testing.T) {
 		t.Fatalf("cursor %d after 4 stripes", cursor)
 	}
 
-	// "Crash": snapshot the disks mid-migration.
-	var snap bytes.Buffer
-	if err := a.Disks().Save(&snap); err != nil {
-		t.Fatal(err)
-	}
+	// "Crash": copy the disks mid-migration.
+	disks := copyDisks(t, a.Disks())
 	mig.Resume()
 	if err := mig.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restore and resume on a fresh process's state.
-	disks, err := vdisk.Load(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Resume on the copy, as a fresh process would.
 	restored, err := raid5.Wrap(disks, 4, raid5.LeftAsymmetric)
 	if err != nil {
 		t.Fatal(err)
@@ -745,4 +762,47 @@ func TestStartContextPreCancelled(t *testing.T) {
 			t.Fatalf("block %d corrupted", L)
 		}
 	}
+}
+
+// TestWriteHealsUnreadableDiagonalParity: an application write to an
+// already-converted stripe whose diagonal parity block has a latent error
+// must succeed, recomputing that parity from the chain's data blocks.
+func TestWriteHealsUnreadableDiagonalParity(t *testing.T) {
+	const rows = 4 * 4
+	a, want := newLoadedRAID5(t, 4, rows, 31)
+	mig, err := NewOnlineMigrator(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paused := make(chan struct{})
+	var once sync.Once
+	mig.SetProgressFunc(func(done, total int64) {
+		if done == 1 {
+			once.Do(func() { close(paused) })
+		}
+	})
+	if err := mig.Start(); err != nil {
+		t.Fatal(err)
+	}
+	<-paused
+	mig.Pause()
+	if cursor, _ := mig.Progress(); cursor < 1 {
+		t.Fatalf("cursor %d after stripe 0 converted", cursor)
+	}
+	row, disk := a.Locate(0)
+	chain := mig.code.DiagonalChainOf(int(row), disk)
+	a.Disks().Disk(mig.code.P() - 1).InjectLatentError(int64(chain))
+	b := bytes.Repeat([]byte{0xA5}, 32)
+	if err := mig.Write(0, b); err != nil {
+		t.Fatalf("write over an unreadable diagonal parity: %v", err)
+	}
+	want[0] = b
+	mig.Resume()
+	if err := mig.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mig.Stats().FaultsRepaired; got != 1 {
+		t.Fatalf("FaultsRepaired = %d, want 1", got)
+	}
+	verifyConverted(t, mig, want, rows/4, "diagonal heal")
 }

@@ -107,8 +107,8 @@ func (a *Array) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.disks.SetTelemetry(reg, tr)
 }
 
-// Wrap builds a RAID-5 view over existing disks (e.g. restored from a
-// snapshot). The first m disks serve the RAID-5; extra disks — such as a
+// Wrap builds a RAID-5 view over existing disks (e.g. reopened from an
+// array directory). The first m disks serve the RAID-5; extra disks — such as a
 // partially filled diagonal-parity disk from an interrupted migration —
 // are left untouched by RAID-5 operations.
 func Wrap(disks *vdisk.Array, m int, layout Layout) (*Array, error) {

@@ -15,7 +15,23 @@ import (
 // dedicated parity columns (RDP, EVENODD, Code 5-6) would otherwise
 // concentrate parity traffic on fixed disks. Call before any I/O; changing
 // the mapping on a populated array scrambles it.
-func (a *Array) SetRotation(on bool) { a.rotate = on }
+//
+// On an array directory's disks (internal/durable) the flag is recorded in
+// meta.json first, so the array reopens with the mapping it was written
+// with; the error is that record's, and leaves the mapping unchanged.
+func (a *Array) SetRotation(on bool) error {
+	if r, ok := a.disks.Backend().(rotationRecorder); ok {
+		if err := r.RecordRotation(on); err != nil {
+			return err
+		}
+	}
+	a.rotate = on
+	return nil
+}
+
+// rotationRecorder is the Backend capability of an array directory that
+// records the rotation flag beside the images.
+type rotationRecorder interface{ RecordRotation(on bool) error }
 
 // Rotated reports whether per-stripe column rotation is enabled.
 func (a *Array) Rotated() bool { return a.rotate }

@@ -2,7 +2,6 @@ package vdisk
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -25,7 +24,7 @@ import (
 //   - Close releases the backing resources; the store is unusable after.
 //
 // Implementations must be safe for concurrent use: the Disk serializes its
-// own I/O, but snapshots and syncs may run from other goroutines.
+// own I/O, but syncs and closes may run from other goroutines.
 type BlockStore interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
@@ -47,13 +46,6 @@ type (
 	Resetter interface {
 		Reset() error
 	}
-	// ExtentLister enumerates the allocated block addresses for the given
-	// block size, sorted ascending. Snapshots use it to stay sparse;
-	// stores without it are enumerated densely from Size, skipping
-	// all-zero blocks.
-	ExtentLister interface {
-		Extents(blockSize int) []int64
-	}
 )
 
 // Backend mints the BlockStore for each disk slot of an array: it is the
@@ -63,6 +55,19 @@ type (
 // store holding its durable contents.
 type Backend interface {
 	Open(id, blockSize int) (BlockStore, error)
+}
+
+// FailureRecorder is an optional Backend capability: a backend that keeps
+// a durable record of its array (an array directory's meta.json, see
+// internal/durable) is told of each disk's fail-stop state change while
+// the disk's lock is held, before any I/O can observe the change. A
+// degraded write, which only skips a disk it has seen failed, therefore
+// never reaches the media while the record still calls that disk healthy.
+// MemBackend has no record and so does no I/O on Fail or Replace.
+// Because the disk's lock is held, RecordFailed must not do I/O through
+// the array's disks.
+type FailureRecorder interface {
+	RecordFailed(id int, failed bool) error
 }
 
 // MemBackend is the default Backend: every slot gets a fresh MemStore.
@@ -86,7 +91,8 @@ type MemStore struct {
 }
 
 // NewMemStore returns an empty in-memory store with the given page size
-// (the disk's block size; page granularity is what keeps Extents exact).
+// (the disk's block size; page granularity is what keeps BlocksInUse
+// exact).
 func NewMemStore(pageSize int) *MemStore {
 	if pageSize <= 0 {
 		panic(fmt.Sprintf("vdisk: invalid mem store page size %d", pageSize))
@@ -207,30 +213,6 @@ func (s *MemStore) Reset() error {
 	s.pages = make(map[int64][]byte)
 	s.size = 0
 	return nil
-}
-
-// Extents returns the allocated block addresses, sorted. When blockSize
-// differs from the store's page size the page map granularity does not
-// line up, so enumeration falls back to the dense range implied by Size
-// (the Disk always constructs its MemStore with its own block size, so
-// the exact path is the one taken in practice).
-func (s *MemStore) Extents(blockSize int) []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if blockSize != s.pageSize {
-		n := (s.size + int64(blockSize) - 1) / int64(blockSize)
-		out := make([]int64, 0, n)
-		for b := int64(0); b < n; b++ {
-			out = append(out, b)
-		}
-		return out
-	}
-	out := make([]int64, 0, len(s.pages))
-	for b := range s.pages {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // PagesInUse returns the number of allocated pages (BlocksInUse's exact

@@ -3,7 +3,9 @@ package vdisk_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"code56/internal/vdisk"
@@ -239,64 +241,6 @@ func TestFaultInjectionUniformAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestSnapshotAcrossBackends saves a file-backed array and restores it
-// onto both backends; contents, failure state and latent errors must
-// survive either direction.
-func TestSnapshotAcrossBackends(t *testing.T) {
-	src, err := filestore.NewBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := vdisk.NewArrayBackend(3, 128, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := bytes.Repeat([]byte{9}, 128)
-	if err := a.Disk(0).Write(5, blk); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Disk(1).Write(2, blk); err != nil {
-		t.Fatal(err)
-	}
-	a.Disk(1).InjectLatentError(9)
-	a.Disk(2).Fail()
-
-	var snap bytes.Buffer
-	if err := a.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dst, err := filestore.NewBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, backend := range map[string]vdisk.Backend{"mem": vdisk.MemBackend{}, "file": dst} {
-		t.Run(name, func(t *testing.T) {
-			b, err := vdisk.LoadBackend(bytes.NewReader(snap.Bytes()), backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			got := make([]byte, 128)
-			if err := b.Disk(0).Read(5, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, blk) {
-				t.Fatal("restored block mismatch")
-			}
-			if err := b.Disk(1).Read(9, got); !errors.Is(err, vdisk.ErrLatent) {
-				t.Fatalf("latent error lost in restore: %v", err)
-			}
-			if !b.Disk(2).Failed() {
-				t.Fatal("failure state lost in restore")
-			}
-		})
-	}
-}
-
 // TestAttachOverFileBackend: the migration's "add a disk" step must mint
 // a durable image, and reopening the directory must see it.
 func TestAttachOverFileBackend(t *testing.T) {
@@ -349,5 +293,56 @@ func TestAttachOverFileBackend(t *testing.T) {
 	}
 	if _, err := filestore.Scan(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("scan of missing dir should error")
+	}
+}
+
+// recordingBackend is a memory backend with a FailureRecorder that logs
+// every call and can be made to fail.
+type recordingBackend struct {
+	vdisk.MemBackend
+	calls []string
+	err   error
+}
+
+func (b *recordingBackend) RecordFailed(id int, failed bool) error {
+	b.calls = append(b.calls, fmt.Sprintf("%d:%v", id, failed))
+	return b.err
+}
+
+// TestFailureRecorderSeesStateChanges: every fail-stop transition —
+// Fail, a scheduled failure, Replace — reaches the backend's recorder,
+// and a recorder error never leaves a disk healthy.
+func TestFailureRecorderSeesStateChanges(t *testing.T) {
+	b := &recordingBackend{}
+	a, err := vdisk.NewArrayBackend(2, 16, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Disk(0).Fail()
+	a.Disk(0).Replace()
+	if err := a.Disk(1).SetFaults(vdisk.FaultConfig{FailAtIO: 1}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	if err := a.Disk(1).Read(0, buf); !errors.Is(err, vdisk.ErrFailed) {
+		t.Fatalf("scheduled failure: %v", err)
+	}
+	added, err := a.Attach()
+	if err != nil {
+		t.Fatal(err)
+	}
+	added.Fail()
+	if got, want := fmt.Sprint(b.calls), "[0:true 0:false 1:true 2:true]"; got != want {
+		t.Fatalf("recorded %s, want %s", got, want)
+	}
+
+	b.err = errors.New("meta unwritable")
+	a.Disk(1).Replace()
+	if !a.Disk(1).Failed() {
+		t.Fatal("Replace put a disk in service although recording it failed")
+	}
+	a.Disk(0).Fail()
+	if err := a.Disk(0).Write(0, buf); !errors.Is(err, vdisk.ErrFailed) || !strings.Contains(err.Error(), "meta unwritable") {
+		t.Fatalf("write after an unrecorded failure: %v", err)
 	}
 }

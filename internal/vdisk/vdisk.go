@@ -66,8 +66,10 @@ type Disk struct {
 	mu sync.RWMutex
 	// store is fixed at construction (Replace wipes media through the
 	// store's Resetter rather than swapping the store), so it carries no
-	// guard annotation.
+	// guard annotation; so is rec, the backend's FailureRecorder (nil for
+	// memory-backed disks).
 	store  BlockStore
+	rec    FailureRecorder
 	failed bool //c56:guardedby mu
 	// failedErr caches the wrapped fail-stop error, built on first use:
 	// every I/O against a failed disk returns the same value, so the
@@ -190,7 +192,7 @@ func (d *Disk) faultCheck(b int64, write bool) error {
 	}
 	f.ios++
 	if f.cfg.FailAtIO > 0 && f.ios >= f.cfg.FailAtIO {
-		d.failed = true
+		d.setFailed()
 		d.tel.fails.Inc()
 		d.tel.tr.Event("vdisk.scheduled_fail", telemetry.A("disk", d.id), telemetry.A("at_io", f.ios))
 		return fmt.Errorf("%w: disk %d (scheduled failure at I/O %d)", ErrFailed, d.id, f.ios)
@@ -296,7 +298,7 @@ func (d *Disk) Close() error {
 	return d.store.Close()
 }
 
-// Store exposes the disk's BlockStore (snapshot plumbing and tests).
+// Store exposes the disk's BlockStore (tests and store-level tooling).
 func (d *Disk) Store() BlockStore {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -304,7 +306,8 @@ func (d *Disk) Store() BlockStore {
 }
 
 // Fail marks the disk fail-stopped: every subsequent I/O errors until
-// Replace is called.
+// Replace is called. On a backend with a FailureRecorder the failure is
+// recorded durably before Fail returns.
 func (d *Disk) Fail() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -312,7 +315,22 @@ func (d *Disk) Fail() {
 		d.tel.fails.Inc()
 		d.tel.tr.Event("vdisk.fail", telemetry.A("disk", d.id))
 	}
+	d.setFailed()
+}
+
+// setFailed fail-stops the disk and tells the backend's FailureRecorder.
+// A recording error cannot undo the failure; it becomes the error every
+// later I/O against the disk returns.
+//
+//c56:requires mu
+func (d *Disk) setFailed() {
 	d.failed = true
+	if d.rec == nil {
+		return
+	}
+	if err := d.rec.RecordFailed(d.id, true); err != nil {
+		d.failedErr = fmt.Errorf("%w: disk %d (recording the failure: %v)", ErrFailed, d.id, err)
+	}
 }
 
 // Failed reports whether the disk is fail-stopped.
@@ -332,18 +350,26 @@ func (d *Disk) Failed() bool {
 // (it describes the controller, not the drive).
 //
 // Wiping the media goes through the store's Resetter capability (both
-// built-in backends have it). If the reset fails — a durable backend that
-// cannot truncate its file — the disk stays fail-stopped with the reset
-// error, so a half-wiped drive is never silently put back in service.
+// built-in backends have it). Only then is the backend's FailureRecorder
+// told the disk is healthy, so a durable record never calls an unwiped
+// image good. If the reset or the record fails — a durable backend that
+// cannot truncate its file or rewrite its meta — the disk stays
+// fail-stopped with that error, so a half-replaced drive is never
+// silently put back in service.
 func (d *Disk) Replace() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var err error
 	if r, ok := d.store.(Resetter); ok {
-		if err := r.Reset(); err != nil {
-			d.failed = true
-			d.failedErr = fmt.Errorf("%w: disk %d (replace: %v)", ErrFailed, d.id, err)
-			return
-		}
+		err = r.Reset()
+	}
+	if err == nil && d.rec != nil {
+		err = d.rec.RecordFailed(d.id, false)
+	}
+	if err != nil {
+		d.failed = true
+		d.failedErr = fmt.Errorf("%w: disk %d (replace: %v)", ErrFailed, d.id, err)
+		return
 	}
 	d.failed = false
 	d.failedErr = nil
@@ -381,13 +407,14 @@ func (d *Disk) ResetStats() {
 }
 
 // BlocksInUse returns the number of blocks holding written data. It is
-// backend-dependent: stores listing extents (MemStore) report allocated
-// blocks exactly; others report the high-water block count from Size.
+// backend-dependent: a MemStore paged at the disk's block size reports
+// allocated blocks exactly; other stores report the high-water block
+// count from Size.
 func (d *Disk) BlocksInUse() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if l, ok := d.store.(ExtentLister); ok {
-		return len(l.Extents(d.blockSize))
+	if m, ok := d.store.(*MemStore); ok && m.pageSize == d.blockSize {
+		return m.PagesInUse()
 	}
 	size, err := d.store.Size()
 	if err != nil {
@@ -453,7 +480,9 @@ func NewArrayFrom(blockSize int, b Backend, ids []int) (*Array, error) {
 			_ = a.Close()
 			return nil, fmt.Errorf("vdisk: opening store for disk %d: %w", id, err)
 		}
-		a.disks = append(a.disks, NewDiskStore(id, blockSize, s))
+		d := NewDiskStore(id, blockSize, s)
+		d.rec, _ = b.(FailureRecorder)
+		a.disks = append(a.disks, d)
 		if id >= a.nextID {
 			a.nextID = id + 1
 		}
@@ -517,6 +546,7 @@ func (a *Array) Attach() (*Disk, error) {
 		return nil, fmt.Errorf("vdisk: opening store for disk %d: %w", a.nextID, err)
 	}
 	d := NewDiskStore(a.nextID, a.blockSize, s)
+	d.rec, _ = backend.(FailureRecorder)
 	if a.reg != nil || a.tr != nil {
 		d.bindTelemetry(a.reg, a.tr)
 	}

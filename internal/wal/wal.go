@@ -1,6 +1,6 @@
 // Package wal is a write-ahead intent log with per-record CRCs and
 // torn-tail recovery. The migrator journals its watermark and the
-// superblock flip through it, so a process killed at any point reopens
+// meta.json flip through it, so a process killed at any point reopens
 // to a prefix of the record stream that was actually made durable.
 //
 // File format (all integers little-endian):

@@ -3,7 +3,6 @@ package code56
 import (
 	"code56/internal/raid6"
 	"code56/internal/recovery"
-	"code56/internal/superblock"
 )
 
 // Recovery and maintenance facade.
@@ -36,20 +35,3 @@ func PlanColumnRecovery(code Code, failed int) (ColumnRecoveryPlan, error) {
 func ConventionalRecoveryReads(code Code, failed int) (int, error) {
 	return recovery.ConventionalReads(code, failed)
 }
-
-// Array persistence (mdadm-style assembly).
-type (
-	// Manifest identifies a persisted array's code and geometry.
-	Manifest = superblock.Manifest
-)
-
-// Array persistence entry points.
-var (
-	// SaveArray persists a RAID-6 array (manifest + disk snapshot) to a
-	// writer.
-	SaveArray = superblock.SaveArray
-	// LoadArray reassembles an array saved by SaveArray.
-	LoadArray = superblock.LoadArray
-	// BuildCode reconstructs the erasure code a manifest names.
-	BuildCode = superblock.BuildCode
-)
