@@ -2,6 +2,7 @@ package code56
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -13,7 +14,10 @@ func TestPublicQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	array := NewRAID6(code, 512)
+	array, err := NewRAID6Array(code, WithBlockSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(1))
 	want := map[int64][]byte{}
 	for L := int64(0); L < int64(array.DataPerStripe()*2); L++ {
@@ -40,7 +44,7 @@ func TestPublicQuickstart(t *testing.T) {
 // TestPublicMigration drives the online migration through the public API
 // and downgrades back.
 func TestPublicMigration(t *testing.T) {
-	r5, err := NewRAID5(4, 512, LeftAsymmetric)
+	r5, err := NewRAID5Array(4, WithBlockSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestPublicPlansAndCodes(t *testing.T) {
 		t.Error("Code 5-6 virtual plan should not invalidate or migrate")
 	}
 	ex := NewExecutor(plan, 64, 1)
-	if err := ex.Run(); err != nil {
+	if err := RunPlan(context.Background(), ex); err != nil {
 		t.Fatal(err)
 	}
 	if err := ex.VerifyResult(); err != nil {
@@ -159,8 +163,13 @@ func TestPublicRecoveryAndScrub(t *testing.T) {
 		t.Errorf("recovery reads %d/%d, want 9/12", plan.Reads, conv)
 	}
 
-	a := NewRAID6(code, 64)
-	a.SetRotation(true)
+	a, err := NewRAID6Array(code, WithBlockSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetRotation(true); err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 64)
 	for L := int64(0); L < int64(a.DataPerStripe()*2); L++ {
 		if err := a.WriteBlock(L, buf); err != nil {
@@ -168,7 +177,7 @@ func TestPublicRecoveryAndScrub(t *testing.T) {
 		}
 	}
 	a.Disks().Disk(0).InjectLatentError(1)
-	rep, err := a.Scrub(2)
+	rep, err := ScrubArrayMode(context.Background(), a, 2, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +237,10 @@ func TestPublicMiscFacade(t *testing.T) {
 	if k := code.Kind(0, 0); k != KindData {
 		t.Errorf("Kind(0,0) = %v", k)
 	}
-	a := NewRAID6(code, 64)
+	a, err := NewRAID6Array(code, WithBlockSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := WrapRAID6(code, a.Disks())
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +248,7 @@ func TestPublicMiscFacade(t *testing.T) {
 	if w.Code().Name() != "code56" {
 		t.Error("wrapped array lost its code")
 	}
-	r5, err := NewRAID5(4, 64, LeftAsymmetric)
+	r5, err := NewRAID5Array(4, WithBlockSize(64))
 	if err != nil {
 		t.Fatal(err)
 	}

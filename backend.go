@@ -298,7 +298,7 @@ func OpenRAID6Array(dir string, opts ...Option) (*RAID6, error) {
 // (repairing any torn tail), the conversion resumes from the last durable
 // watermark, and stripes converted after that watermark are simply redone
 // (diagonal-parity conversion is idempotent). Start it like a fresh
-// migration (Start / StartMigration), Wait, then Result.
+// migration (Start / StartContext), Wait, then Result.
 //
 // A directory that never began a migration returns ErrNoMigration; one
 // whose migration fully committed returns ErrMigrationComplete (the array

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"code56/internal/durable"
@@ -30,9 +32,9 @@ func TestBackendSpecGrammar(t *testing.T) {
 	}
 }
 
-// TestPositionalConstructorsStayInMemory pins the compatibility promise:
-// the positional constructors and the option forms without WithBackend
-// build pure in-memory arrays (no Dir capability on the backend).
+// TestPositionalConstructorsStayInMemory: the array constructors without
+// WithBackend build pure in-memory arrays (no Dir capability on the
+// backend), whose migrations are not journaled.
 func TestPositionalConstructorsStayInMemory(t *testing.T) {
 	a, err := NewRAID5Array(4)
 	if err != nil {
@@ -196,6 +198,34 @@ func TestFileBackedFailedDiskSurvivesReopen(t *testing.T) {
 		}
 		requireBlocks(t, c.ReadBlock, want, "after rebuild and reopen")
 	})
+}
+
+// TestUnrecordedFailureRefusesWrites: when a Fail cannot be recorded in
+// meta.json, the array must refuse further writes. A degraded write would
+// otherwise skip the failed disk while the record still calls it healthy,
+// and the next open would read its stale image as good. Reads keep
+// working.
+func TestUnrecordedFailureRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	code, _ := New(5)
+	a, err := NewRAID6Array(code, WithBackend("file:"+dir), WithBlockSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Disks().Close()
+	want := writeRandomBlocks(t, a.WriteBlock, int64(a.DataPerStripe()), 64, 9)
+	// Without meta.json the failure record cannot be written.
+	if err := os.Remove(filepath.Join(dir, durable.MetaFile)); err != nil {
+		t.Fatal(err)
+	}
+	_, cell := a.Locate(0)
+	a.Disks().Disk(cell.Col).Fail()
+	for l := int64(0); l < int64(len(want)); l++ {
+		if err := a.WriteBlock(l, make([]byte, 64)); !errors.Is(err, durable.ErrNoMeta) {
+			t.Fatalf("write block %d after an unrecorded failure: err = %v, want the recording error", l, err)
+		}
+	}
+	requireBlocks(t, a.ReadBlock, want, "after refused writes")
 }
 
 // writeRandomBlocks writes blocks 0..n-1 with seeded random data and

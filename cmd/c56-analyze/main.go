@@ -36,20 +36,14 @@ func main() {
 		degraded  = flag.Bool("degraded", false, "degraded-read I/O amplification study")
 		motive    = flag.Bool("motivation", false, "quantified §I motivation: RAID-5 vs RAID-6 MTTDL from Table I AFRs")
 		planFor   = flag.String("plan", "", "dump the operation stream of one conversion (code name, e.g. code56; with -n)")
-		httpAddr  = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
+	cli := obs.Flags(flag.CommandLine, false)
 	flag.Parse()
-
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-analyze:", err)
-		os.Exit(1)
+	err := cli.Start()
+	if err == nil {
+		err = run(*fig, *table, *n, *csv, *all, *ablations, *recovery, *writeperf, *degraded, *motive, *planFor)
 	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-	if err := run(*fig, *table, *n, *csv, *all, *ablations, *recovery, *writeperf, *degraded, *motive, *planFor); err != nil {
+	if err := cli.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-analyze:", err)
 		os.Exit(1)
 	}

@@ -6,11 +6,11 @@
 // It also measures the XOR kernel hierarchy (every tier the host can run —
 // asm/wide/word/byte, per xorblk.Tiers() — written to BENCH_xor.json with
 // sizes reaching past the non-temporal store threshold) and sweeps the
-// parallel stripe engine: full-array encodes at 1, 2, 4 and 8 workers in
-// both per-stripe and interleaved batch modes, each sampled several times
-// with the median reported, written to BENCH_parallel.json. Both reports
-// carry the host topology (NumCPU, GOMAXPROCS, selected kernel, detected
-// CPU features) so throughput numbers are interpretable after the fact.
+// parallel stripe engine: full-array encodes at 1, 2, 4 and 8 workers,
+// each sampled several times with the median reported, written to
+// BENCH_parallel.json. Both reports carry the host topology (NumCPU,
+// GOMAXPROCS, selected kernel, detected CPU features) so throughput
+// numbers are interpretable after the fact.
 //
 // Usage:
 //
@@ -78,16 +78,12 @@ func topo() Topology {
 	}
 }
 
-// ParallelResult is one (mode, worker count) full-array encode measurement.
+// ParallelResult is one worker count's full-array encode measurement.
 // MBPerSec is the median of Samples independent measurement windows;
 // AllocsPerStripe is heap allocations per stripe encode across all windows
 // (the zero-allocation hot path keeps it near 0 in steady state). Speedup
-// is relative to the same mode at 1 worker.
+// is relative to 1 worker.
 type ParallelResult struct {
-	// Mode is "per-stripe" (EncodeArrayStripes: every chain of a stripe,
-	// then the next stripe) or "interleaved" (EncodeArrayStripesInterleaved:
-	// one chain across a whole claimed batch, so column accesses stream).
-	Mode            string  `json:"mode"`
 	Workers         int     `json:"workers"`
 	MBPerSec        float64 `json:"mb_per_s"`
 	Speedup         float64 `json:"speedup_vs_1"`
@@ -120,7 +116,6 @@ func main() {
 		reps     = flag.Int("parallel-reps", 5, "measurement windows per worker count (median reported, min 3)")
 		maxprocs = flag.Int("maxprocs", 0, "GOMAXPROCS for the sweeps (0 = all CPUs)")
 		backend  = flag.String("backend", "", "block-store backend for the parallel sweep's array: 'mem:' (default) or 'file:<dir>' to measure over durable image files")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 
 		serveOut     = flag.String("serve-out", "", "under-load serve benchmark output file ('-' for stdout, '' to skip): wire p50/p99 latency idle vs during a timetable-shaped online migration")
 		serveDisks   = flag.Int("serve-disks", 4, "serve bench: RAID-5 disks (disks+1 must be prime)")
@@ -135,6 +130,7 @@ func main() {
 		loadVol      = flag.String("load-vol", "vol0", "load gen: volume to drive")
 		loadDuration = flag.Duration("load-duration", 5*time.Second, "load gen: how long to run")
 	)
+	cli := obs.Flags(flag.CommandLine, false)
 	flag.Parse()
 	if *loadURL != "" {
 		if err := runLoadGen(*loadURL, *loadTenant, *loadVol, *serveClients, *loadDuration); err != nil {
@@ -143,44 +139,30 @@ func main() {
 		}
 		return
 	}
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
+	err := cli.Start()
+	if err == nil {
+		// Pin GOMAXPROCS explicitly so the recorded value reflects the
+		// sweep's real parallelism even when the environment (cgroup
+		// limits, an inherited GOMAXPROCS env var) would silently cap it.
+		if *maxprocs > 0 {
+			runtime.GOMAXPROCS(*maxprocs)
+		} else {
+			runtime.GOMAXPROCS(runtime.NumCPU())
+		}
+		err = run(*out, *block, *p, *minTime)
+	}
+	if err == nil && *xorOut != "" {
+		err = runXor(*xorOut, *minTime)
+	}
+	if err == nil && *parOut != "" {
+		err = runParallel(*parOut, *parBlock, *parP, *stripes, *minTime, *reps, *backend)
+	}
+	if err == nil && *serveOut != "" {
+		err = runServe(*serveOut, *serveDisks, *serveStripes, *serveBlock, *serveClients, *serveOps, *serveBW)
+	}
+	if err := cli.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-bench:", err)
 		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-	// Pin GOMAXPROCS explicitly so the recorded value reflects the sweep's
-	// real parallelism even when the environment (cgroup limits, an
-	// inherited GOMAXPROCS env var) would silently cap it.
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	} else {
-		runtime.GOMAXPROCS(runtime.NumCPU())
-	}
-	if err := run(*out, *block, *p, *minTime); err != nil {
-		fmt.Fprintln(os.Stderr, "c56-bench:", err)
-		os.Exit(1)
-	}
-	if *xorOut != "" {
-		if err := runXor(*xorOut, *minTime); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *parOut != "" {
-		if err := runParallel(*parOut, *parBlock, *parP, *stripes, *minTime, *reps, *backend); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *serveOut != "" {
-		if err := runServe(*serveOut, *serveDisks, *serveStripes, *serveBlock, *serveClients, *serveOps, *serveBW); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-bench:", err)
-			os.Exit(1)
-		}
 	}
 }
 
@@ -317,16 +299,15 @@ func run(out string, block, p int, minTime time.Duration) error {
 }
 
 // runParallel measures full-array Code 5-6 encodes through the parallel
-// stripe engine at 1, 2, 4 and 8 workers — in per-stripe and interleaved
-// batch modes side by side — and writes BENCH_parallel.json. Each (mode,
-// worker count) pair runs reps independent measurement windows (each at
+// stripe engine at 1, 2, 4 and 8 workers and writes BENCH_parallel.json.
+// Each worker count runs reps independent measurement windows (each at
 // least minTime long) and reports the median throughput, plus heap
 // allocations per stripe encode taken from runtime.MemStats.
 func runParallel(out string, block, p int, stripes int64, minTime time.Duration, reps int, backend string) error {
 	if reps < 3 {
 		reps = 3
 	}
-	code, err := code56.NewCode(p)
+	code, err := code56.New(p)
 	if err != nil {
 		return err
 	}
@@ -353,71 +334,56 @@ func runParallel(out string, block, p int, stripes int64, minTime time.Duration,
 	}
 	ctx := context.Background()
 	dataBytes := float64(blocks) * float64(block)
-	modes := []struct {
-		name string
-		fn   func(w int) error
-	}{
-		{"per-stripe", func(w int) error {
-			return code56.EncodeArrayStripes(ctx, a, stripes, code56.WithWorkers(w))
-		}},
-		{"interleaved", func(w int) error {
-			return code56.EncodeArrayStripesInterleaved(ctx, a, stripes, code56.WithWorkers(w))
-		}},
-	}
 	for _, w := range []int{1, 2, 4, 8} {
-		for _, mode := range modes {
-			encode := func() error { return mode.fn(w) }
-			// Warm-up pass primes the buffer pools so the measured windows
-			// see steady state, then reps independent windows of minTime.
-			if err := encode(); err != nil {
-				return err
-			}
-			var (
-				samples     []float64
-				totalIters  int
-				totalAllocs uint64
-				ms          runtime.MemStats
-			)
-			for win := 0; win < reps; win++ {
-				runtime.ReadMemStats(&ms)
-				allocsBefore := ms.Mallocs
-				iters := 0
-				start := time.Now()
-				for iters == 0 || time.Since(start) < minTime {
-					if err := encode(); err != nil {
-						return err
-					}
-					iters++
-				}
-				elapsed := time.Since(start)
-				runtime.ReadMemStats(&ms)
-				samples = append(samples, float64(iters)*dataBytes/1e6/elapsed.Seconds())
-				totalIters += iters
-				totalAllocs += ms.Mallocs - allocsBefore
-			}
-			r := ParallelResult{
-				Mode:            mode.name,
-				Workers:         w,
-				MBPerSec:        median(samples),
-				Speedup:         1,
-				Iterations:      totalIters,
-				Samples:         reps,
-				AllocsPerStripe: float64(totalAllocs) / float64(int64(totalIters)*stripes),
-			}
-			for _, prev := range rep.Results {
-				if prev.Mode == mode.name && prev.Workers == 1 {
-					r.Speedup = r.MBPerSec / prev.MBPerSec
-					break
-				}
-			}
-			rep.Results = append(rep.Results, r)
+		encode := func() error {
+			return code56.EncodeArrayStripes(ctx, a, stripes, code56.WithWorkers(w))
 		}
+		// Warm-up pass primes the buffer pools so the measured windows see
+		// steady state, then reps independent windows of minTime.
+		if err := encode(); err != nil {
+			return err
+		}
+		var (
+			samples     []float64
+			totalIters  int
+			totalAllocs uint64
+			ms          runtime.MemStats
+		)
+		for win := 0; win < reps; win++ {
+			runtime.ReadMemStats(&ms)
+			allocsBefore := ms.Mallocs
+			iters := 0
+			start := time.Now()
+			for iters == 0 || time.Since(start) < minTime {
+				if err := encode(); err != nil {
+					return err
+				}
+				iters++
+			}
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&ms)
+			samples = append(samples, float64(iters)*dataBytes/1e6/elapsed.Seconds())
+			totalIters += iters
+			totalAllocs += ms.Mallocs - allocsBefore
+		}
+		r := ParallelResult{
+			Workers:         w,
+			MBPerSec:        median(samples),
+			Speedup:         1,
+			Iterations:      totalIters,
+			Samples:         reps,
+			AllocsPerStripe: float64(totalAllocs) / float64(int64(totalIters)*stripes),
+		}
+		if len(rep.Results) > 0 {
+			r.Speedup = r.MBPerSec / rep.Results[0].MBPerSec
+		}
+		rep.Results = append(rep.Results, r)
 	}
 	if err := writeJSON(out, rep); err != nil {
 		return err
 	}
 	if out != "-" {
-		fmt.Printf("wrote parallel sweep (%d mode×worker results, %d windows each, GOMAXPROCS=%d, kernel=%s) to %s\n",
+		fmt.Printf("wrote parallel sweep (%d worker counts, %d windows each, GOMAXPROCS=%d, kernel=%s) to %s\n",
 			len(rep.Results), reps, rep.GOMAXPROCS, rep.Kernel, out)
 	}
 	return nil

@@ -24,40 +24,22 @@ import (
 	"code56/internal/disksim"
 	"code56/internal/fleet"
 	"code56/internal/obs"
-	"code56/internal/telemetry"
 )
 
 func main() {
 	var (
-		arrays   = flag.String("arrays", "", "comma-separated disks:age:blocks specs (default: a demo fleet)")
-		budget   = flag.Float64("budget", 0, "conversion-bandwidth budget in hours (0 = unlimited)")
-		block    = flag.Int("block", 4096, "block size in bytes")
-		mttr     = flag.Float64("mttr", 24, "per-disk rebuild time, hours")
-		metrics  = flag.String("metrics", "", "dump final telemetry counters to this file ('-' for stdout, '.json' suffix for JSON)")
-		traceOut = flag.String("trace", "", "write a JSON-lines span/event trace to this file ('-' for stderr)")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
+		arrays = flag.String("arrays", "", "comma-separated disks:age:blocks specs (default: a demo fleet)")
+		budget = flag.Float64("budget", 0, "conversion-bandwidth budget in hours (0 = unlimited)")
+		block  = flag.Int("block", 4096, "block size in bytes")
+		mttr   = flag.Float64("mttr", 24, "per-disk rebuild time, hours")
 	)
+	cli := obs.Flags(flag.CommandLine, true)
 	flag.Parse()
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-fleet:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-	closeTrace, err := telemetry.AttachTraceFile(telemetry.DefaultTracer(), *traceOut)
+	err := cli.Start()
 	if err == nil {
 		err = run(*arrays, *budget, *block, *mttr)
 	}
-	if cerr := closeTrace(); err == nil {
-		err = cerr
-	}
-	if merr := telemetry.DumpMetrics(telemetry.Default(), *metrics); err == nil {
-		err = merr
-	}
-	if err != nil {
+	if err := cli.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-fleet:", err)
 		os.Exit(1)
 	}

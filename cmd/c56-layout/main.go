@@ -31,19 +31,14 @@ func main() {
 		codeName = flag.String("code", "", "one code to print (default: all)")
 		p        = flag.Int("p", 5, "prime parameter")
 		chain    = flag.Int("chain", -1, "also render this chain index")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
+	cli := obs.Flags(flag.CommandLine, false)
 	flag.Parse()
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-layout:", err)
-		os.Exit(1)
+	err := cli.Start()
+	if err == nil {
+		err = run(*codeName, *p, *chain)
 	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-	if err := run(*codeName, *p, *chain); err != nil {
+	if err := cli.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-layout:", err)
 		os.Exit(1)
 	}

@@ -44,19 +44,15 @@ func run(args []string) int {
 	auditAllows := fs.Bool("audit-allows", false, "list every //lint:allow directive; exit 1 if any is stale (its analyzer no longer fires on that line)")
 	version := fs.String("V", "", "print version and exit (-V=full, for the go vet handshake)")
 	flagsMode := fs.Bool("flags", false, "print the tool's analyzer flags as JSON (go vet handshake)")
-	httpAddr := fs.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
+	cli := obs.Flags(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
+	if err := cli.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-lint:", err)
 		return 2
 	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
+	defer cli.Finish(nil)
 
 	switch {
 	case *version != "":

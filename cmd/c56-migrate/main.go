@@ -47,10 +47,7 @@ func main() {
 		parallel = flag.Int("parallel", 1, "concurrent stripe-conversion workers (alias of -workers)")
 		workers  = flag.Int("workers", 0, "worker goroutines for conversion (online) or plan execution (offline); 0 = -parallel")
 		online   = flag.Bool("online", true, "convert online with Algorithm 2; false replays the offline plan via the executor")
-		metrics  = flag.String("metrics", "", "dump final telemetry counters to this file ('-' for stdout, '.json' suffix for JSON)")
-		traceOut = flag.String("trace", "", "write a JSON-lines span/event trace to this file ('-' for stderr)")
 		progress = flag.Bool("progress", true, "show a live progress line on stderr during online migration")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /progress, /debug/pprof) on this address, e.g. :8080")
 		watch    = flag.Bool("watch", false, "rich live status line: state, watermark, recent stripes/s, MB/s, repairs, ETA")
 		backend  = flag.String("backend", "", "block-store backend spec: 'mem:' (default) or 'file:<dir>' for durable image files plus a crash-resumable migration intent log")
 		resume   = flag.String("resume", "", "resume the parked file-backed migration in this directory (ignores the array-shape flags)")
@@ -62,6 +59,8 @@ func main() {
 		retry     = flag.Int("retry", 0, "retries for transient I/O errors")
 		retryBase = flag.Duration("retry-base", 0, "backoff base between retries (doubles each attempt)")
 	)
+	cli := obs.Flags(flag.CommandLine, true)
+	flag.Lookup("http").Usage = "serve the observability plane (/metrics, /healthz, /progress, /debug/pprof) on this address, e.g. :8080"
 	flag.Parse()
 	if *workers == 0 {
 		*workers = *parallel
@@ -73,20 +72,11 @@ func main() {
 		retry:     *retry,
 		retryBase: *retryBase,
 	}
-	plane, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-migrate:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-	closeTrace, err := telemetry.AttachTraceFile(telemetry.DefaultTracer(), *traceOut)
+	err := cli.Start()
 	if err == nil {
 		switch {
 		case *resume != "":
-			err = runResume(*resume, *workers, *throttle, *interval, *progress, plane)
+			err = runResume(*resume, *workers, *throttle, *interval, *progress, cli.Plane)
 		case *online:
 			err = runOnline(onlineConfig{
 				disks:    *disks,
@@ -102,19 +92,13 @@ func main() {
 				backend:  *backend,
 				interval: *interval,
 				faults:   faults,
-				plane:    plane,
+				plane:    cli.Plane,
 			})
 		default:
 			err = runOffline(*disks, *block, *seed, *workers)
 		}
 	}
-	if cerr := closeTrace(); err == nil {
-		err = cerr
-	}
-	if merr := telemetry.DumpMetrics(telemetry.Default(), *metrics); err == nil {
-		err = merr
-	}
-	if err != nil {
+	if err := cli.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-migrate:", err)
 		os.Exit(1)
 	}
@@ -322,7 +306,7 @@ func runOnline(cfg onlineConfig) error {
 		if err := r5.Disks().SetFaults(code56.FaultConfig{}); err != nil {
 			return err
 		}
-		rep, err := r6.Scrub(int64(stripes))
+		rep, err := code56.ScrubArrayMode(context.Background(), r6, int64(stripes), code56.ScrubRepair)
 		if err != nil {
 			return err
 		}

@@ -47,33 +47,21 @@ func main() {
 		scrub    = flag.Bool("scrub", false, "plant latent errors and silent corruption in an array, then check and repair it by scrubbing")
 		seed     = flag.Int64("seed", 23, "seed for planted faults (-scrub mode)")
 		backend  = flag.String("backend", "", "block-store backend for -rebuild/-scrub arrays: 'mem:' (default) or 'file:<dir>'")
-		httpAddr = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
+	cli := obs.Flags(flag.CommandLine, false)
 	flag.Parse()
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-recover:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-	if *scrub {
-		if err := runScrub(*codeName, *p, *block, *stripes, *workers, *seed, *backend); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-recover:", err)
-			os.Exit(1)
+	err := cli.Start()
+	if err == nil {
+		switch {
+		case *scrub:
+			err = runScrub(*codeName, *p, *block, *stripes, *workers, *seed, *backend)
+		case *rebuild:
+			err = runRebuild(*codeName, *p, *failSpec, *block, *stripes, *workers, *backend)
+		default:
+			err = run(*codeName, *p, *failSpec, *hybrid, *all, *block)
 		}
-		return
 	}
-	if *rebuild {
-		if err := runRebuild(*codeName, *p, *failSpec, *block, *stripes, *workers, *backend); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-recover:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*codeName, *p, *failSpec, *hybrid, *all, *block); err != nil {
+	if err := cli.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-recover:", err)
 		os.Exit(1)
 	}

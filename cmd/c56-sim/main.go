@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -24,7 +25,6 @@ import (
 	"code56/internal/disksim"
 	"code56/internal/migrate"
 	"code56/internal/obs"
-	"code56/internal/telemetry"
 	"code56/internal/trace"
 )
 
@@ -43,46 +43,23 @@ func main() {
 		util      = flag.Bool("utilization", false, "also print per-disk utilization of each winner")
 		dumpTrace = flag.String("dump-trace", "", "write the migration trace for -code to a file and exit")
 		codeName  = flag.String("code", "code56", "with -dump-trace: which code's trace to dump")
-		metrics   = flag.String("metrics", "", "dump final telemetry counters to this file ('-' for stdout, '.json' suffix for JSON)")
-		traceOut  = flag.String("trace", "", "write a JSON-lines span/event trace to this file ('-' for stderr)")
 		faults    = flag.Bool("faults", false, "run the deterministic fault-injection smoke scenario and exit")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the -faults scenario")
 		backend   = flag.String("backend", "", "block-store backend for the -faults scenario: 'mem:' (default) or 'file:<dir>'")
-		httpAddr  = flag.String("http", "", "serve the observability plane (/metrics, /healthz, /debug/pprof) on this address, e.g. :8080")
 	)
+	cli := obs.Flags(flag.CommandLine, true)
 	flag.Parse()
-	_, handle, err := obs.Plane(*httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c56-sim:", err)
-		os.Exit(1)
-	}
-	defer handle.Drain()
-	if handle != nil {
-		fmt.Fprintf(os.Stderr, "observability plane listening on http://%s\n", handle.Addr())
-	}
-
-	if *faults {
-		if err := runFaults(*faultSeed, *block, *backend); err != nil {
-			fmt.Fprintln(os.Stderr, "c56-sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	model := disksim.Model{SeekTime: *seek, RotationTime: *rot, TransferMBps: *rate, SeqWindow: *window}
 	cfg := analysis.SimConfig{TotalDataBlocks: *b, LoadBalanced: !*nlb, Model: model}
-
-	closeTrace, err := telemetry.AttachTraceFile(telemetry.DefaultTracer(), *traceOut)
+	err := cli.Start()
 	if err == nil {
-		err = run(*p, *n, *byN, *block, cfg, *dumpTrace, *codeName, *util)
+		if *faults {
+			err = runFaults(*faultSeed, *block, *backend)
+		} else {
+			err = run(*p, *n, *byN, *block, cfg, *dumpTrace, *codeName, *util)
+		}
 	}
-	if cerr := closeTrace(); err == nil {
-		err = cerr
-	}
-	if merr := telemetry.DumpMetrics(telemetry.Default(), *metrics); err == nil {
-		err = merr
-	}
-	if err != nil {
+	if err := cli.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "c56-sim:", err)
 		os.Exit(1)
 	}
@@ -231,10 +208,10 @@ func runFaults(seed int64, block int, backend string) error {
 
 	r6.Disks().Disk(1).Replace()
 	const stripes = rows / disks // p-1 = 4 rows per Code 5-6 stripe
-	if err := r6.Rebuild(int64(stripes), 1); err != nil {
+	if err := code56.RebuildArray(context.Background(), r6, int64(stripes), []int{1}); err != nil {
 		return err
 	}
-	rep, err := r6.Scrub(int64(stripes))
+	rep, err := code56.ScrubArrayMode(context.Background(), r6, int64(stripes), code56.ScrubRepair)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,7 @@
 // # Quick start
 //
 //	code, _ := code56.New(5)                     // Code 5-6 for 5 disks
-//	array := code56.NewRAID6(code, 4096)         // simulated RAID-6 array
+//	array, _ := code56.NewRAID6Array(code)       // simulated RAID-6 array
 //	array.WriteBlock(0, block)                   // parity maintained
 //	array.Disks().Disk(1).Fail()                 // two concurrent failures
 //	array.Disks().Disk(3).Fail()
@@ -33,28 +33,25 @@
 //
 // # Options and parallelism
 //
-// Every facade constructor has an option-based form, and every long-running
-// operation has a context-bound form; both converge on one functional
-// Option type:
+// Array constructors and bulk operations take a trailing list of the
+// functional Option type, and bulk operations are bound to a context:
 //
-//	code, _ := code56.NewCode(13)                          // defaults
-//	array := code56.NewRAID6Array(code,
+//	code, _ := code56.New(13)
+//	array, _ := code56.NewRAID6Array(code,
 //	        code56.WithBlockSize(64<<10))
-//	err := code56.ScrubArray(ctx, array, stripes,
-//	        code56.WithWorkers(8))                         // parallel scrub
+//	rep, err := code56.ScrubArrayMode(ctx, array, stripes,
+//	        code56.ScrubRepair, code56.WithWorkers(8)) // parallel scrub
 //	mig, _ := code56.NewMigrator(r5, rows,
 //	        code56.WithWorkers(4), code56.WithThrottle(time.Millisecond))
-//	err = code56.StartMigration(ctx, mig)                  // cancelable
+//	err = mig.StartContext(ctx)                        // cancelable
 //
-// WithWorkers and WithChunkSize control the stripe engine: independent
-// stripes fan out over a bounded worker pool (internal/parallel), and large
-// blocks split into chunks for the multi-source XOR kernel. Cancelling the
-// context stops cleanly at a stripe boundary; for online migration the
-// array stays consistent and resumable. The positional constructors (New,
-// NewRAID5, NewRAID6, NewExecutor, NewOnlineMigrator) and serial methods
-// (Run, Rebuild, Scrub, Start) are all kept and are equivalent to the
-// option forms with WithWorkers(1) and a background context — nothing is
-// deprecated; the new forms only add knobs.
+// WithWorkers, WithChunkSize and WithBatchBytes control the stripe engine:
+// independent stripes fan out over a bounded worker pool
+// (internal/parallel) in contiguous cache-sized batches, and large blocks
+// split into chunks for the multi-source XOR kernel. WithWorkers(1) runs
+// an operation serially, in stripe order. Cancelling the context stops
+// cleanly at a stripe boundary; for online migration the array stays
+// consistent and resumable.
 package code56
 
 import (
@@ -184,20 +181,12 @@ const (
 	RightSymmetric  = raid5.RightSymmetric
 )
 
-// NewRAID5 creates a RAID-5 array of m fresh simulated disks.
-func NewRAID5(m, blockSize int, l RAID5Layout) (*RAID5, error) {
-	return raid5.New(m, blockSize, l)
-}
-
 // WrapRAID5 builds a RAID-5 view over existing disks (e.g. ones a
 // migration has already grown); extra disks beyond the first m are left
 // untouched.
 func WrapRAID5(disks *DiskArray, m int, l RAID5Layout) (*RAID5, error) {
 	return raid5.Wrap(disks, m, l)
 }
-
-// NewRAID6 creates a RAID-6 array over fresh simulated disks for the code.
-func NewRAID6(code Code, blockSize int) *RAID6 { return raid6.New(code, blockSize) }
 
 // WrapRAID6 builds a RAID-6 view over existing disks (e.g. after a
 // migration).

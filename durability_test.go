@@ -88,7 +88,7 @@ func verifyMatrixResult(t *testing.T, dir string, r6 *RAID6, want [][]byte, gold
 			t.Fatalf("stripe %d: ok=%v err=%v", st, ok, err)
 		}
 	}
-	rep, err := ScrubArray(context.Background(), r6, stripes)
+	rep, err := ScrubArrayMode(context.Background(), r6, stripes, ScrubRepair)
 	if err != nil {
 		t.Fatalf("scrub: %v", err)
 	}

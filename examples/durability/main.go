@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -142,7 +143,7 @@ func verify(r6 *code56.RAID6, want [][]byte) {
 			log.Fatalf("stripe %d inconsistent (err=%v)", st, err)
 		}
 	}
-	rep, err := r6.Scrub(stripes)
+	rep, err := code56.ScrubArrayMode(context.Background(), r6, stripes, code56.ScrubRepair)
 	if err != nil {
 		log.Fatal(err)
 	}

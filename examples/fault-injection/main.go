@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -145,7 +146,7 @@ func main() {
 			log.Fatalf("stripe %d inconsistent after resume", s)
 		}
 	}
-	rep, err := r6.ScrubWithMode(stripes, code56.ScrubCheck)
+	rep, err := code56.ScrubArrayMode(context.Background(), r6, stripes, code56.ScrubCheck)
 	if err != nil {
 		log.Fatal(err)
 	}

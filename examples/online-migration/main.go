@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -24,7 +25,7 @@ func main() {
 	rows := int64(stripes * (disks + 1 - 1)) // p-1 rows per stripe
 	blocks := rows * (disks - 1)
 
-	r5, err := code56.NewRAID5(disks, blockSize, code56.LeftAsymmetric)
+	r5, err := code56.NewRAID5Array(disks, code56.WithBlockSize(blockSize))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func main() {
 	}
 	r6.Disks().Disk(0).Replace()
 	r6.Disks().Disk(2).Replace()
-	if err := r6.Rebuild(stripes, 0, 2); err != nil {
+	if err := code56.RebuildArray(context.Background(), r6, stripes, []int{0, 2}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("... data served degraded and both disks rebuilt. RAID-6 achieved.")

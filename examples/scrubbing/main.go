@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,8 +20,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	array := code56.NewRAID6(code, 4096)
-	array.SetRotation(true) // balance parity load across disks
+	array, err := code56.NewRAID6Array(code)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Balance parity load across disks.
+	if err := array.SetRotation(true); err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 
 	const stripes = 32
 	blocks := int64(array.DataPerStripe() * stripes)
@@ -46,7 +54,7 @@ func main() {
 	}
 	fmt.Println("injected: 3 latent sector errors + 1 silent corruption")
 
-	rep, err := array.Scrub(stripes)
+	rep, err := code56.ScrubArrayMode(ctx, array, stripes, code56.ScrubRepair)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +74,7 @@ func main() {
 		}
 	}
 	array.Disks().Disk(3).Replace()
-	if err := array.Rebuild(stripes, 3); err != nil {
+	if err := code56.RebuildArray(ctx, array, stripes, []int{3}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("disk 3 failed, all data served degraded, disk rebuilt — array healthy")

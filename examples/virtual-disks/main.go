@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 
 	// Execute the plan against simulated disks and verify the result.
 	ex := code56.NewExecutor(plan, 4096, 99)
-	if err := ex.Run(); err != nil {
+	if err := code56.RunPlan(context.Background(), ex); err != nil {
 		log.Fatal(err)
 	}
 	if err := ex.VerifyResult(); err != nil {

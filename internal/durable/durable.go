@@ -35,6 +35,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"code56/internal/codes/evenodd"
 	"code56/internal/codes/hcode"
@@ -45,6 +46,7 @@ import (
 	"code56/internal/core"
 	"code56/internal/layout"
 	"code56/internal/raid5"
+	"code56/internal/vdisk"
 	"code56/internal/vdisk/filestore"
 )
 
@@ -351,19 +353,39 @@ func WALPath(dir string) string { return filepath.Join(dir, WALFile) }
 // Backend is the vdisk backend of an array directory: the filestore
 // images, plus the two recorder capabilities through which the disks and
 // the RAID-6 layer keep meta.json in step with the state reads depend on.
-type Backend struct{ *filestore.Backend }
+//
+// A failure that could not be recorded breaks the backend: meta.json still
+// calls that disk healthy, so a degraded write that skipped it would leave
+// a stale image a later open reads as good. From then on every image the
+// backend opened refuses writes, trims and resets with the recording
+// error; reads still work, so the data stays readable.
+type Backend struct {
+	*filestore.Backend
+	broken *atomic.Pointer[error]
+}
 
 // NewBackend returns the backend of the array directory dir, creating the
 // directory if needed.
 func NewBackend(dir string) (Backend, error) {
 	fb, err := filestore.NewBackend(dir)
-	return Backend{fb}, err
+	return Backend{fb, new(atomic.Pointer[error])}, err
+}
+
+// Open creates or reopens the image for the slot. It implements
+// vdisk.Backend.
+func (b Backend) Open(id, blockSize int) (vdisk.BlockStore, error) {
+	s, err := b.Backend.Open(id, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	return image{s.(*filestore.Store), b.broken}, nil
 }
 
 // RecordFailed adds slot id to (failed) or removes it from (!failed) the
-// directory's failed-disk set. It implements vdisk.FailureRecorder.
+// directory's failed-disk set. It implements vdisk.FailureRecorder. A
+// failure it cannot record breaks the backend (see Backend).
 func (b Backend) RecordFailed(id int, failed bool) error {
-	return update(b.Dir(), func(m *Meta) (bool, error) {
+	err := update(b.Dir(), func(m *Meta) (bool, error) {
 		i, has := slices.BinarySearch(m.Failed, id)
 		switch {
 		case failed && !has:
@@ -378,6 +400,47 @@ func (b Backend) RecordFailed(id int, failed bool) error {
 		}
 		return true, nil
 	})
+	if err != nil && failed {
+		err = fmt.Errorf("durable: %s: disk %d failed but the failure is not recorded, so the array refuses writes: %w", b.Dir(), id, err)
+		b.broken.CompareAndSwap(nil, &err)
+	}
+	return err
+}
+
+// image is one disk's filestore image, refusing every change once its
+// backend is broken.
+type image struct {
+	*filestore.Store
+	broken *atomic.Pointer[error]
+}
+
+// check returns the backend's recording error, or nil.
+func (im image) check() error {
+	if err := im.broken.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+func (im image) WriteAt(p []byte, off int64) (int, error) {
+	if err := im.check(); err != nil {
+		return 0, err
+	}
+	return im.Store.WriteAt(p, off)
+}
+
+func (im image) Trim(off, length int64) error {
+	if err := im.check(); err != nil {
+		return err
+	}
+	return im.Store.Trim(off, length)
+}
+
+func (im image) Reset() error {
+	if err := im.check(); err != nil {
+		return err
+	}
+	return im.Store.Reset()
 }
 
 // RecordRotation records a RAID-6's per-stripe parity rotation flag. A

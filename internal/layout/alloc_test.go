@@ -1,11 +1,22 @@
 package layout
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The //c56:noalloc annotations in this package are statically verified
 // by c56-lint; these AllocsPerRun assertions are the runtime half of the
 // contract (and the lint suite's cross-check test requires every
 // annotated exported function to appear here).
+
+// randomStripe returns a toy-geometry stripe with random data cells and
+// zero parity.
+func randomStripe(seed int64) *Stripe {
+	s := NewStripe(toy{}.Geometry(), 64)
+	s.FillRandom(toy{}, rand.New(rand.NewSource(seed)))
+	return s
+}
 
 func skipIfRace(t *testing.T) {
 	t.Helper()
@@ -17,7 +28,7 @@ func skipIfRace(t *testing.T) {
 func TestEncoderAllocationFree(t *testing.T) {
 	skipIfRace(t)
 	enc := NewEncoder(toy{})
-	s := makeStripes(1, 42)[0]
+	s := randomStripe(42)
 	if n := testing.AllocsPerRun(100, func() { enc.Encode(s) }); n != 0 {
 		t.Errorf("Encode allocates %.1f times per call, want 0", n)
 	}
@@ -48,7 +59,7 @@ func TestGeometryAllocationFree(t *testing.T) {
 
 func TestStripeAccessAllocationFree(t *testing.T) {
 	skipIfRace(t)
-	s := makeStripes(1, 7)[0]
+	s := randomStripe(7)
 	c := Coord{Row: 0, Col: 1}
 	block := make([]byte, s.BlockSize)
 	if n := testing.AllocsPerRun(100, func() {

@@ -97,38 +97,6 @@ func (e *Encoder) Encode(s *Stripe) int {
 	return xors
 }
 
-// EncodeInterleaved encodes a batch of stripes with the loop order
-// inverted relative to calling Encode per stripe: chains outer, stripes
-// inner. While one chain is in flight its cover coordinates are fixed, so
-// the inner loop reads the same cells of consecutive stripes —
-// sequential addresses on each covering disk — instead of sweeping the
-// whole chain set of one stripe before touching the next. Parity-column
-// writes stream the same way. The result is bit-identical to encoding
-// each stripe individually: chain i's covers may include parities of
-// earlier chains, and those are finished for every stripe before chain i
-// starts (the outer loop follows the same dependency order Encode uses).
-// It returns the total block XOR count across the batch and allocates
-// nothing in steady state.
-//
-//c56:noalloc
-func (e *Encoder) EncodeInterleaved(stripes []*Stripe) int {
-	cs := e.scratch.Get().(*coverScratch)
-	xors := 0
-	for _, i := range e.order {
-		ch := &e.chains[i]
-		for _, s := range stripes {
-			covers := cs.covers[:0]
-			for _, m := range ch.Covers {
-				covers = append(covers, s.Block(m)) //lint:allow noalloc pooled scratch is pre-sized to the widest chain, append never grows it
-			}
-			xors += xorblk.XorMulti(s.Block(ch.Parity), covers...)
-		}
-	}
-	cs.covers = cs.covers[:0]
-	e.scratch.Put(cs)
-	return xors
-}
-
 // Verify reports whether every parity chain of the stripe XORs to zero,
 // like the package-level Verify but without per-call allocation (the
 // accumulator block is rented from bufpool).

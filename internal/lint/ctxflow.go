@@ -20,10 +20,10 @@ import (
 //     and may call context.Background only in the recognized
 //     serial-compat-wrapper shape: a function with no context.Context
 //     parameter passing Background() directly as a call argument (e.g.
-//     `return a.RebuildContext(context.Background(), …)`). Calling
-//     Background inside a function that already has a ctx in scope is
-//     reported, as is storing a manufactured context in a variable or
-//     field.
+//     OnlineMigrator.Start's `return m.StartContext(context.Background())`).
+//     Calling Background inside a function that already has a ctx in
+//     scope is reported, as is storing a manufactured context in a
+//     variable or field.
 //
 //   - every call to parallel.ForEach, ForEachBatch or XorMulti made inside
 //     a function with a context.Context parameter (its own or a captured

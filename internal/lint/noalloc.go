@@ -135,24 +135,23 @@ var noallocTrusted = map[string]bool{
 	"code56/internal/telemetry.Rate.Add":          true,
 	"code56/internal/telemetry.Rate.Inc":          true,
 
-	"code56/internal/layout.Geometry.Index":            true,
-	"code56/internal/layout.Geometry.CoordOf":          true,
-	"code56/internal/layout.Geometry.Contains":         true,
-	"code56/internal/layout.Stripe.Block":              true,
-	"code56/internal/layout.Stripe.SetBlock":           true,
-	"code56/internal/layout.Stripe.Zero":               true,
-	"code56/internal/layout.StripePool.Get":            true,
-	"code56/internal/layout.StripePool.Put":            true,
-	"code56/internal/layout.Encoder.Encode":            true,
-	"code56/internal/layout.Encoder.EncodeInterleaved": true,
-	"code56/internal/layout.Encoder.Verify":            true,
-	"code56/internal/vdisk.Disk.Read":                  true,
-	"code56/internal/vdisk.Disk.Write":                 true,
-	"code56/internal/vdisk.Disk.Failed":                true,
-	"code56/internal/vdisk.Array.Disk":                 true,
-	"code56/internal/vdisk.Array.BlockSize":            true,
-	"code56/internal/vdisk.BlockStore.ReadAt":          true,
-	"code56/internal/vdisk.BlockStore.WriteAt":         true,
+	"code56/internal/layout.Geometry.Index":    true,
+	"code56/internal/layout.Geometry.CoordOf":  true,
+	"code56/internal/layout.Geometry.Contains": true,
+	"code56/internal/layout.Stripe.Block":      true,
+	"code56/internal/layout.Stripe.SetBlock":   true,
+	"code56/internal/layout.Stripe.Zero":       true,
+	"code56/internal/layout.StripePool.Get":    true,
+	"code56/internal/layout.StripePool.Put":    true,
+	"code56/internal/layout.Encoder.Encode":    true,
+	"code56/internal/layout.Encoder.Verify":    true,
+	"code56/internal/vdisk.Disk.Read":          true,
+	"code56/internal/vdisk.Disk.Write":         true,
+	"code56/internal/vdisk.Disk.Failed":        true,
+	"code56/internal/vdisk.Array.Disk":         true,
+	"code56/internal/vdisk.Array.BlockSize":    true,
+	"code56/internal/vdisk.BlockStore.ReadAt":  true,
+	"code56/internal/vdisk.BlockStore.WriteAt": true,
 }
 
 // noallocTrustedPkgs are packages trusted wholesale: pure-computation

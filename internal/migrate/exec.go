@@ -32,7 +32,7 @@ type Executor struct {
 
 // SetTelemetry rebinds the executor's counters and tracer (and those of
 // its disks). Pass nil for either argument to use the process-wide
-// defaults. Call before Run.
+// defaults. Call before RunContext.
 func (e *Executor) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	e.reg, e.tr = reg, tr
 	e.disks.SetTelemetry(reg, tr)
@@ -42,30 +42,13 @@ func (e *Executor) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 // the plan's overlays (data blocks plus consistent RAID-5 parities), plus
 // the disks the conversion adds. Disk i serves target column Virtual+i.
 func NewExecutor(plan *Plan, blockSize int, seed int64) *Executor {
-	e, err := NewExecutorBackend(plan, blockSize, seed, vdisk.MemBackend{})
-	if err != nil {
-		// MemBackend cannot fail to open a store.
-		panic(err)
-	}
-	return e
-}
-
-// NewExecutorBackend is NewExecutor with the disks opened on the given
-// backend, so offline conversions can run over durable files and their
-// result directories reopened later.
-func NewExecutorBackend(plan *Plan, blockSize int, seed int64, backend vdisk.Backend) (*Executor, error) {
 	e := &Executor{
 		plan:      plan,
 		blockSize: blockSize,
 		geom:      plan.Conv.Code.Geometry(),
 		want:      make(map[int]map[layout.Coord][]byte),
 	}
-	realCols := e.geom.Cols - plan.Virtual
-	disks, err := vdisk.NewArrayBackend(realCols, blockSize, backend)
-	if err != nil {
-		return nil, err
-	}
-	e.disks = disks
+	e.disks = vdisk.NewArray(e.geom.Cols-plan.Virtual, blockSize)
 
 	r := rand.New(rand.NewSource(seed))
 	for st := 0; st < plan.Period; st++ {
@@ -98,7 +81,7 @@ func NewExecutorBackend(plan *Plan, blockSize int, seed int64, backend vdisk.Bac
 		}
 	}
 	e.disks.ResetStats()
-	return e, nil
+	return e
 }
 
 // Disks exposes the executor's disk array (for stats assertions).
@@ -124,22 +107,17 @@ type imageKey struct {
 	cell   layout.Coord
 }
 
-// Run executes the plan's operations in order. It returns an error if an
-// operation needs a block that is neither scheduled for reading nor cached —
-// which would mean the planner's read accounting is wrong. RunContext is the
-// concurrent, cancelable form; Run keeps the original serial signature.
-func (e *Executor) Run() error {
-	return e.RunContext(context.Background(), parallel.WithWorkers(1))
-}
-
 // RunContext executes the plan with independent stripes of each phase
 // spread over internal/parallel's pool (parallel.WithWorkers). Every
 // operation of a plan reads, caches and writes blocks of its own stripe
 // only — the conversion-memory cache is keyed by stripe — so stripes within
 // a phase commute; phases stay strictly ordered (a barrier between them
 // models the plan's "conversion memory drains between phases" rule). The
-// telemetry counters and the resulting disk image are identical to a serial
-// Run for any worker count.
+// telemetry counters and the resulting disk image do not depend on the
+// worker count; WithWorkers(1) runs the operations in plan order. It
+// returns an error if an operation needs a block that is neither scheduled
+// for reading nor cached — which would mean the planner's read accounting
+// is wrong.
 func (e *Executor) RunContext(ctx context.Context, opts ...parallel.Option) error {
 	reads := e.reg.Counter("migrate.exec.reads")
 	writes := e.reg.Counter("migrate.exec.writes")
@@ -261,7 +239,7 @@ func (e *Executor) runStripeOps(ops []Op, reads, writes, xors *telemetry.Counter
 
 // VerifyResult checks that every stripe of the converted array satisfies all
 // of the target code's parity chains (virtual cells read as zero) and that
-// every source data block survived unchanged. Call after Run.
+// every source data block survived unchanged. Call after RunContext.
 func (e *Executor) VerifyResult() error {
 	code := e.plan.Conv.Code
 	for st := 0; st < e.plan.Period; st++ {
@@ -286,8 +264,8 @@ func (e *Executor) VerifyResult() error {
 	return nil
 }
 
-// DiskIOTotals returns the reads and writes each disk served during Run
-// (indexes are real-disk indexes: target column minus Virtual).
+// DiskIOTotals returns the reads and writes each disk served during
+// RunContext (indexes are real-disk indexes: target column minus Virtual).
 func (e *Executor) DiskIOTotals() (reads, writes []int) {
 	n := e.disks.Len()
 	reads = make([]int, n)

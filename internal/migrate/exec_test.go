@@ -21,7 +21,7 @@ func TestExecuteAllStandardConversions(t *testing.T) {
 			t.Run(c.Label(), func(t *testing.T) {
 				plan := mustPlan(t, c)
 				ex := NewExecutor(plan, 64, 42)
-				if err := ex.Run(); err != nil {
+				if err := ex.RunContext(context.Background(), parallel.WithWorkers(1)); err != nil {
 					t.Fatal(err)
 				}
 				reads, writes := ex.DiskIOTotals() // before VerifyResult's own reads
@@ -69,7 +69,7 @@ func TestVirtualDiskConversion(t *testing.T) {
 			t.Errorf("m=%d: no parities reused", m)
 		}
 		ex := NewExecutor(plan, 32, int64(m))
-		if err := ex.Run(); err != nil {
+		if err := ex.RunContext(context.Background(), parallel.WithWorkers(1)); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		if err := ex.VerifyResult(); err != nil {

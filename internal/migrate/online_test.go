@@ -292,7 +292,7 @@ func TestDoubleFailureAfterMigration(t *testing.T) {
 	// Rebuild both disks and verify full recovery.
 	r6.Disks().Disk(1).Replace()
 	r6.Disks().Disk(3).Replace()
-	if err := r6.Rebuild(rows/4, 1, 3); err != nil {
+	if err := r6.RebuildContext(context.Background(), rows/4, []int{1, 3}); err != nil {
 		t.Fatal(err)
 	}
 	for L, w := range want {

@@ -89,9 +89,8 @@ func Resolve(opts ...Option) Config {
 // goroutines and returns the first error. The first failure (or ctx
 // becoming done) stops further claims; workers finish their in-flight item
 // and exit, so when ForEach returns no fn is still running. With one worker
-// (or n <= 1) everything runs on the calling goroutine in index order —
-// bulk entry points rely on that to keep their serial wrappers
-// byte-for-byte identical to the pre-engine behavior.
+// (or n <= 1) everything runs on the calling goroutine in index order, so
+// WithWorkers(1) gives a bulk entry point its serial, in-order form.
 func ForEach(ctx context.Context, n int64, fn func(i int64) error, opts ...Option) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -166,8 +165,12 @@ func ForEach(ctx context.Context, n int64, fn func(i int64) error, opts ...Optio
 // are identical to ForEach for any batch size; itemBytes <= 0 or a budget
 // smaller than one item degrades to per-item claiming.
 func ForEachBatch(ctx context.Context, n, itemBytes int64, fn func(i int64) error, opts ...Option) error {
-	return ForEachBatchRange(ctx, n, itemBytes, func(lo, hi int64) error {
-		for i := lo; i < hi; i++ {
+	cfg := Resolve(opts...)
+	batch := batchItems(itemBytes, cfg.BatchBytes)
+	batches := (n + batch - 1) / batch
+	return ForEach(ctx, batches, func(b int64) error {
+		hi := min((b+1)*batch, n)
+		for i := b * batch; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -179,35 +182,13 @@ func ForEachBatch(ctx context.Context, n, itemBytes int64, fn func(i int64) erro
 	}, opts...)
 }
 
-// ForEachBatchRange is the range-granular form of ForEachBatch: instead of
-// invoking fn once per item inside a claimed batch, it hands the whole
-// contiguous claim [lo, hi) to fn in one call. Callers that can amortize
-// per-call setup across a batch — the interleaved stripe encoder loads hi-lo
-// stripes and walks them chain-by-chain so parity-column reads and writes
-// stream sequentially — use this; per-item callers use ForEachBatch, which
-// is this function plus the inner loop. Batch sizing, claiming, error and
-// cancellation semantics are identical: batches are ceil(BatchBytes /
-// itemBytes) items (itemBytes <= 0 degrades to single-item ranges), the
-// first error stops further claims, and ranges never overlap and cover
-// [0, n) exactly.
-func ForEachBatchRange(ctx context.Context, n, itemBytes int64, fn func(lo, hi int64) error, opts ...Option) error {
-	cfg := Resolve(opts...)
-	batch := int64(1)
-	if itemBytes > 0 {
-		batch = int64(cfg.BatchBytes) / itemBytes
+// batchItems is how many items of itemBytes fit one claim of budget bytes:
+// at least one, and one when the item size is unknown (itemBytes <= 0).
+func batchItems(itemBytes int64, budget int) int64 {
+	if itemBytes <= 0 {
+		return 1
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	batches := (n + batch - 1) / batch
-	return ForEach(ctx, batches, func(b int64) error {
-		lo := b * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	}, opts...)
+	return max(int64(budget)/itemBytes, 1)
 }
 
 // XorMulti computes dst = XOR of srcs with the block split into ChunkSize

@@ -99,31 +99,30 @@ func TestForEachBatchHonorsContext(t *testing.T) {
 	}
 }
 
+// TestForEachBatchRangeCoversEveryIndexOnce checks the contiguous range a
+// worker claims at once: its span is the number of items that fit the
+// batch budget, and the ranges, tail included, cover every index once.
 func TestForEachBatchRangeCoversEveryIndexOnce(t *testing.T) {
 	for _, tc := range []struct {
 		workers   int
 		itemBytes int64
 		batch     int
-		wantSpan  int64 // expected hi-lo of every non-tail range
+		wantSpan  int64 // items per claimed range
 	}{
-		{1, 1024, 64 * 1024, 64},
-		{4, 1024, 64 * 1024, 64},
+		{1, 1024, 64, 1},         // budget smaller than one item: single-item ranges
+		{1, 1024, 64 * 1024, 64}, // serial, many items per range
+		{4, 1024, 64 * 1024, 64}, // parallel, many items per range
 		{4, 1 << 21, 1 << 20, 1}, // item bigger than budget: single-item ranges
 		{4, 0, 0, 1},             // unknown item size: single-item ranges
 		{8, 3000, 1 << 18, 87},   // non-dividing sizes exercise the tail range
 	} {
+		if got := batchItems(tc.itemBytes, Resolve(WithBatchBytes(tc.batch)).BatchBytes); got != tc.wantSpan {
+			t.Errorf("%+v: range span %d, want %d", tc, got, tc.wantSpan)
+		}
 		const n = 1000
 		var hits [n]atomic.Int32
-		err := ForEachBatchRange(context.Background(), n, tc.itemBytes, func(lo, hi int64) error {
-			if lo >= hi || hi > n {
-				t.Errorf("%+v: bad range [%d, %d)", tc, lo, hi)
-			}
-			if span := hi - lo; span != tc.wantSpan && hi != n {
-				t.Errorf("%+v: range [%d, %d) has span %d, want %d", tc, lo, hi, span, tc.wantSpan)
-			}
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
+		err := ForEachBatch(context.Background(), n, tc.itemBytes, func(i int64) error {
+			hits[i].Add(1)
 			return nil
 		}, WithWorkers(tc.workers), WithBatchBytes(tc.batch))
 		if err != nil {
@@ -137,37 +136,28 @@ func TestForEachBatchRangeCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForEachBatchRangeStopsOnError(t *testing.T) {
-	sentinel := errors.New("boom")
-	var ranges atomic.Int64
-	err := ForEachBatchRange(context.Background(), 1000, 1024, func(lo, hi int64) error {
-		ranges.Add(1)
-		if lo >= 128 {
-			return sentinel
+// TestForEachBatchRangeHonorsContext checks that a cancellation arriving
+// inside a claimed range stops the range at the next item, and that an
+// empty index space runs nothing.
+func TestForEachBatchRangeHonorsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int64
+	err := ForEachBatch(ctx, 1000, 1024, func(i int64) error {
+		ran.Add(1)
+		if i == 10 {
+			cancel()
 		}
 		return nil
 	}, WithWorkers(1), WithBatchBytes(64*1024))
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	// Serial execution claims ranges in order: [0,64), [64,128), [128,192)
-	// fails — nothing past it runs.
-	if got := ranges.Load(); got != 3 {
-		t.Fatalf("ran %d ranges before stopping, want 3", got)
-	}
-}
-
-func TestForEachBatchRangeHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := ForEachBatchRange(ctx, 1000, 1024, func(lo, hi int64) error {
-		t.Error("fn ran under a cancelled context")
-		return nil
-	}, WithWorkers(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if err := ForEachBatchRange(context.Background(), 0, 1024, func(lo, hi int64) error {
+	// The first range is [0,64); nothing past the cancelling index runs.
+	if got := ran.Load(); got != 11 {
+		t.Fatalf("ran %d items after cancel inside a range, want 11", got)
+	}
+	if err := ForEachBatch(context.Background(), 0, 1024, func(i int64) error {
 		t.Error("fn ran for an empty index space")
 		return nil
 	}); err != nil {

@@ -1,11 +1,13 @@
 package raid6
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/parallel"
 )
 
 func benchArray(b *testing.B, stripes int) *Array {
@@ -31,20 +33,6 @@ func BenchmarkWriteBlockRMW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := a.WriteBlock(int64(i)%blocks, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWriteRangePartialStripe(b *testing.B) {
-	a := benchArray(b, 4)
-	n := a.DataPerStripe() / 2
-	data := make([]byte, n*4096)
-	rand.New(rand.NewSource(3)).Read(data)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.WriteRange(0, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,15 +95,14 @@ func BenchmarkRebuildDoubleFailure(b *testing.B) {
 		a.Disks().Disk(1).Replace()
 		a.Disks().Disk(4).Replace()
 		b.StartTimer()
-		if err := a.Rebuild(stripes, 1, 4); err != nil {
+		if err := a.RebuildContext(context.Background(), stripes, []int{1, 4}, parallel.WithWorkers(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkRebuildParallel compares worker-pool rebuild against the serial
-// path at several widths.
-func BenchmarkRebuildParallel(b *testing.B) {
+// BenchmarkRebuildWorkers compares rebuild at several worker counts.
+func BenchmarkRebuildWorkers(b *testing.B) {
 	const stripes = 32
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -130,7 +117,7 @@ func BenchmarkRebuildParallel(b *testing.B) {
 				a.Disks().Disk(1).Replace()
 				a.Disks().Disk(4).Replace()
 				b.StartTimer()
-				if err := a.RebuildParallel(stripes, workers, 1, 4); err != nil {
+				if err := a.RebuildContext(context.Background(), stripes, []int{1, 4}, parallel.WithWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -81,7 +81,7 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check, err := a.ScrubWithMode(4, ScrubCheck)
+	check, err := a.ScrubContextMode(context.Background(), 4, ScrubCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 		t.Fatalf("scrub_repairs = %d after check-only pass", c)
 	}
 
-	rep, err := a.ScrubWithMode(4, ScrubRepair)
+	rep, err := a.ScrubContextMode(context.Background(), 4, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 		t.Fatalf("scrub_repairs = %d, want 2", c)
 	}
 
-	final, err := a.ScrubWithMode(4, ScrubCheck)
+	final, err := a.ScrubContextMode(context.Background(), 4, ScrubCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,22 @@ func TestScrubCheckModeDetectsWithoutWriting(t *testing.T) {
 	checkAll(t, a, want, "after scrub repair")
 }
 
+// scrubSerial is the reference scrub ScrubContextMode is checked against:
+// an independent in-order loop over scrubStripe, with no worker pool.
+func scrubSerial(a *Array, stripes int64, mode ScrubMode) (ScrubReport, error) {
+	rep := ScrubReport{Stripes: stripes}
+	for st := int64(0); st < stripes; st++ {
+		res, err := a.scrubStripe(st, mode == ScrubRepair)
+		rep.add(st, res)
+		if err != nil {
+			return rep, err
+		}
+	}
+	return rep, nil
+}
+
 // TestScrubContextModeMatchesSerial: the parallel check-mode scrub produces
-// the same report as the serial one.
+// the same report as the serial reference.
 func TestScrubContextModeMatchesSerial(t *testing.T) {
 	build := func() *Array {
 		a := New(core.MustNew(5), 16)
@@ -136,7 +150,7 @@ func TestScrubContextModeMatchesSerial(t *testing.T) {
 		a.Disks().Disk(2).InjectLatentError(9)
 		return a
 	}
-	serial, err := build().ScrubWithMode(6, ScrubCheck)
+	serial, err := scrubSerial(build(), 6, ScrubCheck)
 	if err != nil {
 		t.Fatal(err)
 	}

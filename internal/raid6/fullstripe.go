@@ -1,21 +1,10 @@
 package raid6
 
 import (
-	"context"
 	"fmt"
 
 	"code56/internal/layout"
-	"code56/internal/parallel"
 )
-
-// RebuildParallel is Rebuild with the per-stripe reconstructions fanned out
-// over a worker pool (stripes are independent: disjoint reads per stripe
-// row range, disjoint writes). workers <= 0 selects GOMAXPROCS. The disks
-// must have been Replace()d first. It is the pre-context form of
-// RebuildContext, kept for compatibility.
-func (a *Array) RebuildParallel(stripes int64, workers int, disks ...int) error {
-	return a.RebuildContext(context.Background(), stripes, disks, parallel.WithWorkers(workers))
-}
 
 // rebuildStripe reconstructs the given disks' cells of one stripe.
 func (a *Array) rebuildStripe(st int64, disks []int) error {
@@ -81,26 +70,4 @@ func (a *Array) WriteStripe(stripe int64, data [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// ReadStripe reads all data blocks of one stripe in Locate order,
-// reconstructing if disks have failed.
-func (a *Array) ReadStripe(stripe int64) ([][]byte, error) {
-	s, es, err := a.loadStripe(stripe)
-	if err != nil {
-		return nil, err
-	}
-	defer a.stripes.Put(s)
-	if len(es) > 0 {
-		if _, err := layout.Reconstruct(a.code, s, es); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTooManyFailures, err)
-		}
-	}
-	out := make([][]byte, len(a.dataCells))
-	for i, c := range a.dataCells {
-		b := make([]byte, a.blockSize)
-		copy(b, s.Block(c))
-		out[i] = b
-	}
-	return out, nil
 }

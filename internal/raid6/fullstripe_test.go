@@ -2,12 +2,28 @@ package raid6
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"code56/internal/core"
+	"code56/internal/parallel"
 )
+
+// readStripe reads stripe st's data blocks through ReadBlock, in Locate
+// order.
+func readStripe(t *testing.T, a *Array, st int64) [][]byte {
+	t.Helper()
+	out := make([][]byte, a.DataPerStripe())
+	for i := range out {
+		out[i] = make([]byte, a.BlockSize())
+		if err := a.ReadBlock(st*int64(a.DataPerStripe())+int64(i), out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
 
 func randBlocks(r *rand.Rand, n, size int) [][]byte {
 	out := make([][]byte, n)
@@ -30,10 +46,7 @@ func TestWriteStripeRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("stripe inconsistent after full-stripe write: %v %v", ok, err)
 	}
-	got, err := a.ReadStripe(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readStripe(t, a, 0)
 	for i := range data {
 		if !bytes.Equal(got[i], data[i]) {
 			t.Fatalf("block %d mismatch", i)
@@ -114,9 +127,13 @@ func TestWriteStripeValidation(t *testing.T) {
 	}
 }
 
-func TestReadStripeDegraded(t *testing.T) {
+// TestFullStripeReadDegraded: a full-stripe write on a rotated array reads
+// back block by block under a double failure.
+func TestFullStripeReadDegraded(t *testing.T) {
 	a := New(core.MustNew(5), 32)
-	a.SetRotation(true)
+	if err := a.SetRotation(true); err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(5))
 	data := randBlocks(r, a.DataPerStripe(), 32)
 	if err := a.WriteStripe(2, data); err != nil {
@@ -124,10 +141,7 @@ func TestReadStripeDegraded(t *testing.T) {
 	}
 	a.Disks().Disk(0).Fail()
 	a.Disks().Disk(4).Fail()
-	got, err := a.ReadStripe(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readStripe(t, a, 2)
 	for i := range data {
 		if !bytes.Equal(got[i], data[i]) {
 			t.Fatalf("block %d mismatch under double failure", i)
@@ -155,7 +169,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	a.Disks().Disk(1).Fail()
 	a.Disks().Disk(1).Replace()
 	// Rebuild the first half of the stripes...
-	if err := a.Rebuild(stripes/2, 1); err != nil {
+	if err := a.RebuildContext(context.Background(), stripes/2, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	// ...then a second disk dies mid-rebuild.
@@ -163,7 +177,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	// Finishing disk 1's rebuild now needs double reconstruction on the
 	// unrebuilt half: erase both the remaining stale region and disk 3.
 	a.Disks().Disk(3).Replace()
-	if err := a.Rebuild(stripes, 1, 3); err != nil {
+	if err := a.RebuildContext(context.Background(), stripes, []int{1, 3}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 32)
@@ -183,13 +197,16 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	}
 }
 
-// TestRebuildParallelMatchesSerial: parallel and serial rebuilds produce
-// identical, consistent arrays (run with -race).
-func TestRebuildParallelMatchesSerial(t *testing.T) {
+// TestRebuildRotatedMatchesSerial: on a rotated array, a rebuild on four
+// workers and one on a single worker produce identical, consistent arrays
+// (run with -race).
+func TestRebuildRotatedMatchesSerial(t *testing.T) {
 	code := core.MustNew(7)
 	mk := func() (*Array, map[int64][]byte) {
 		a := New(code, 32)
-		a.SetRotation(true)
+		if err := a.SetRotation(true); err != nil {
+			t.Fatal(err)
+		}
 		r := rand.New(rand.NewSource(9))
 		const stripes = 12
 		want := make(map[int64][]byte)
@@ -204,22 +221,23 @@ func TestRebuildParallelMatchesSerial(t *testing.T) {
 		return a, want
 	}
 	serial, wantS := mk()
-	parallel, wantP := mk()
-	for _, a := range []*Array{serial, parallel} {
+	par, wantP := mk()
+	for _, a := range []*Array{serial, par} {
 		a.Disks().Disk(1).Fail()
 		a.Disks().Disk(5).Fail()
 		a.Disks().Disk(1).Replace()
 		a.Disks().Disk(5).Replace()
 	}
-	if err := serial.Rebuild(12, 1, 5); err != nil {
+	ctx := context.Background()
+	if err := serial.RebuildContext(ctx, 12, []int{1, 5}, parallel.WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.RebuildParallel(12, 4, 1, 5); err != nil {
+	if err := par.RebuildContext(ctx, 12, []int{1, 5}, parallel.WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 32)
 	for L, w := range wantP {
-		if err := parallel.ReadBlock(L, buf); err != nil {
+		if err := par.ReadBlock(L, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, w) {
@@ -230,19 +248,19 @@ func TestRebuildParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	for st := int64(0); st < 12; st++ {
-		ok, err := parallel.VerifyStripe(st)
+		ok, err := par.VerifyStripe(st)
 		if err != nil || !ok {
 			t.Fatalf("stripe %d inconsistent after parallel rebuild: %v %v", st, ok, err)
 		}
 	}
 	// Degenerate paths.
-	if err := parallel.RebuildParallel(12, 0, 1); err != nil { // auto workers
+	if err := par.RebuildContext(ctx, 12, []int{1}); err != nil { // auto workers
 		t.Fatal(err)
 	}
-	if err := parallel.RebuildParallel(2, 8, 1); err != nil { // workers > stripes
+	if err := par.RebuildContext(ctx, 2, []int{1}, parallel.WithWorkers(8)); err != nil { // workers > stripes
 		t.Fatal(err)
 	}
-	if err := parallel.RebuildParallel(12, 4, 0, 1, 2); !errors.Is(err, ErrTooManyFailures) {
+	if err := par.RebuildContext(ctx, 12, []int{0, 1, 2}, parallel.WithWorkers(4)); !errors.Is(err, ErrTooManyFailures) {
 		t.Fatalf("triple rebuild: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"code56/internal/core"
 	"code56/internal/parallel"
+	"code56/internal/telemetry"
 )
 
 // fillStripes writes random data blocks to stripes [0, stripes) and returns
@@ -109,6 +110,40 @@ func TestEncodeStripesContextCancelled(t *testing.T) {
 	}
 }
 
+// TestEncodeStripesContextFailures: bulk encode refuses to run with a
+// failed disk, like EncodeStripe.
+func TestEncodeStripesContextFailures(t *testing.T) {
+	a := New(core.MustNew(5), 64)
+	fillStripes(t, a, 8, 9)
+	a.Disks().Disk(1).Fail()
+	if err := a.EncodeStripesContext(context.Background(), 8, parallel.WithWorkers(2)); !errors.Is(err, ErrTooManyFailures) {
+		t.Fatalf("err = %v, want ErrTooManyFailures", err)
+	}
+}
+
+// TestEncodeStripesContextTelemetry: a bulk encode counts one stripe
+// encode, the code's XORs and one parity update per chain for every
+// stripe.
+func TestEncodeStripesContextTelemetry(t *testing.T) {
+	const stripes = 16
+	a := New(core.MustNew(5), 64)
+	fillStripes(t, a, stripes, 5)
+	a.SetTelemetry(telemetry.NewRegistry(), nil) // count only the encode below
+	if err := a.EncodeStripesContext(context.Background(), stripes,
+		parallel.WithWorkers(2), parallel.WithBatchBytes(4*int(a.stripeBytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.tel.stripeEncodes.Value(); got != stripes {
+		t.Errorf("stripe_encodes = %d, want %d", got, stripes)
+	}
+	if got, want := a.tel.xors.Value(), a.encodeXORs*stripes; got != want {
+		t.Errorf("xors = %d, want %d", got, want)
+	}
+	if got, want := a.tel.parityUpdates.Value(), int64(len(a.chains))*stripes; got != want {
+		t.Errorf("parity_updates = %d, want %d", got, want)
+	}
+}
+
 func TestRebuildContextMatchesSerial(t *testing.T) {
 	code, err := core.New(7)
 	if err != nil {
@@ -168,7 +203,7 @@ func TestScrubContextMatchesSerialReport(t *testing.T) {
 		}
 	}
 
-	rep, err := a.ScrubContext(context.Background(), stripes, parallel.WithWorkers(4))
+	rep, err := a.ScrubContextMode(context.Background(), stripes, ScrubRepair, parallel.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +217,7 @@ func TestScrubContextMatchesSerialReport(t *testing.T) {
 		t.Errorf("Unrecoverable = %v, want none", rep.Unrecoverable)
 	}
 	// A second pass finds a clean array.
-	rep, err = a.ScrubContext(context.Background(), stripes, parallel.WithWorkers(4))
+	rep, err = a.ScrubContextMode(context.Background(), stripes, ScrubRepair, parallel.WithWorkers(4))
 	if err != nil || rep.LatentRepaired != 0 || rep.CorruptRepaired != 0 {
 		t.Errorf("second scrub = %+v, %v; want clean", rep, err)
 	}

@@ -6,14 +6,11 @@
 package raid6
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"code56/internal/bufpool"
 	"code56/internal/layout"
-	"code56/internal/parallel"
 	"code56/internal/telemetry"
 	"code56/internal/vdisk"
 	"code56/internal/xorblk"
@@ -48,9 +45,6 @@ type Array struct {
 	covering [][]int // chain indices covering cell i (geom.Index order)
 	enc      *layout.Encoder
 	stripes  *layout.StripePool
-	// batches pools the stripe-pointer slices the interleaved bulk encoder
-	// claims per ForEachBatchRange range, keeping that path allocation-free.
-	batches sync.Pool
 }
 
 // tel holds the array's bound telemetry instruments (see README
@@ -109,7 +103,7 @@ func newArray(code layout.Code, disks *vdisk.Array, blockSize int) *Array {
 			covering[g.Index(c)] = layout.ChainsCovering(code, c)
 		}
 	}
-	a := &Array{
+	return &Array{
 		code:       code,
 		disks:      disks,
 		blockSize:  blockSize,
@@ -122,13 +116,7 @@ func newArray(code layout.Code, disks *vdisk.Array, blockSize int) *Array {
 		enc:        layout.NewEncoder(code),
 		stripes:    layout.NewStripePool(g, blockSize),
 	}
-	a.batches.New = func() any { return &stripeBatch{} }
-	return a
 }
-
-// stripeBatch is one worker's claimed run of loaded stripes, pooled by the
-// array so the interleaved bulk encoder allocates nothing per range.
-type stripeBatch struct{ stripes []*layout.Stripe }
 
 // SetTelemetry rebinds the array's counters and tracer (and those of the
 // underlying disks). Pass nil for either argument to use the process-wide
@@ -507,13 +495,4 @@ func (a *Array) VerifyStripe(stripe int64) (bool, error) {
 		return false, fmt.Errorf("%w: cannot verify with failures present", ErrTooManyFailures)
 	}
 	return a.enc.Verify(s), nil
-}
-
-// Rebuild reconstructs the contents of the given replaced disks across
-// stripes [0, stripes). The disks must have been Replace()d (accepting I/O,
-// contents lost) before the call. Disk indices are physical; with rotation
-// enabled each disk serves a different logical column per stripe.
-// RebuildContext is the concurrent, cancelable form.
-func (a *Array) Rebuild(stripes int64, disks ...int) error {
-	return a.RebuildContext(context.Background(), stripes, disks, parallel.WithWorkers(1))
 }

@@ -2,6 +2,7 @@ package raid6
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -117,7 +118,7 @@ func TestDegradedWriteThenRebuild(t *testing.T) {
 		checkAll(t, a, want, code.Name()+" after degraded writes")
 		a.Disks().Disk(1).Replace()
 		a.Disks().Disk(3).Replace()
-		if err := a.Rebuild(2, 1, 3); err != nil {
+		if err := a.RebuildContext(context.Background(), 2, []int{1, 3}); err != nil {
 			t.Fatalf("%s: rebuild: %v", code.Name(), err)
 		}
 		checkAll(t, a, want, code.Name()+" after rebuild")
@@ -135,7 +136,7 @@ func TestDegradedWriteThenRebuild(t *testing.T) {
 
 func TestRebuildRejectsTooMany(t *testing.T) {
 	a := New(core.MustNew(5), 16)
-	if err := a.Rebuild(1, 0, 1, 2); !errors.Is(err, ErrTooManyFailures) {
+	if err := a.RebuildContext(context.Background(), 1, []int{0, 1, 2}); !errors.Is(err, ErrTooManyFailures) {
 		t.Fatalf("Rebuild of 3 columns: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package raid6
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestRotatedRoundTripDegradedRebuild(t *testing.T) {
 	checkAll(t, a, want, "rotated double-degraded")
 	a.Disks().Disk(0).Replace()
 	a.Disks().Disk(3).Replace()
-	if err := a.Rebuild(4, 0, 3); err != nil {
+	if err := a.RebuildContext(context.Background(), 4, []int{0, 3}); err != nil {
 		t.Fatal(err)
 	}
 	checkAll(t, a, want, "rotated after rebuild")
@@ -107,7 +108,7 @@ func TestScrubHealsLatentErrors(t *testing.T) {
 		// Inject latent errors on two blocks of different stripes.
 		a.Disks().Disk(1).InjectLatentError(0)
 		a.Disks().Disk(2).InjectLatentError(5)
-		rep, err := a.Scrub(3)
+		rep, err := a.ScrubContextMode(context.Background(), 3, ScrubRepair)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestScrubLocatesSilentCorruption(t *testing.T) {
 	if ok, _ := a.VerifyStripe(0); ok {
 		t.Fatal("corruption not visible to verify")
 	}
-	rep, err := a.Scrub(2)
+	rep, err := a.ScrubContextMode(context.Background(), 2, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestScrubReportsMultiCorruption(t *testing.T) {
 	if err := a.Disks().Disk(1).Write(2, evil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Scrub(1)
+	rep, err := a.ScrubContextMode(context.Background(), 1, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestScrubReportsMultiCorruption(t *testing.T) {
 func TestScrubCleanArrayIsNoop(t *testing.T) {
 	a := New(core.MustNew(5), 16)
 	fillRandom(t, a, 2, rand.New(rand.NewSource(6)))
-	rep, err := a.Scrub(2)
+	rep, err := a.ScrubContextMode(context.Background(), 2, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestLocateCorruptionParityCell(t *testing.T) {
 	if err := a.Disks().Disk(4).Write(2, evil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Scrub(1)
+	rep, err := a.ScrubContextMode(context.Background(), 1, ScrubRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestStatefulInvariants(t *testing.T) {
 						a.Disks().Disk(d).Replace()
 						ds = append(ds, d)
 					}
-					if err := a.Rebuild(stripes, ds...); err != nil {
+					if err := a.RebuildContext(context.Background(), stripes, ds); err != nil {
 						t.Fatalf("rotate=%v step %d rebuild: %v", rotate, step, err)
 					}
 					failed = map[int]bool{}
@@ -270,7 +271,7 @@ func TestStatefulInvariants(t *testing.T) {
 			default: // latent error + scrub (only when healthy)
 				if len(failed) == 0 {
 					a.Disks().Disk(r.Intn(5)).InjectLatentError(r.Int63n(stripes * 4))
-					if _, err := a.Scrub(stripes); err != nil {
+					if _, err := a.ScrubContextMode(context.Background(), stripes, ScrubRepair); err != nil {
 						t.Fatalf("rotate=%v step %d scrub: %v", rotate, step, err)
 					}
 				}
@@ -283,7 +284,7 @@ func TestStatefulInvariants(t *testing.T) {
 				a.Disks().Disk(d).Replace()
 				ds = append(ds, d)
 			}
-			if err := a.Rebuild(stripes, ds...); err != nil {
+			if err := a.RebuildContext(context.Background(), stripes, ds); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -185,17 +185,12 @@ func ConventionalReads(code layout.Code, failed int) (int, error) {
 // column's blocks are assumed zeroed. Chains are solved in an order that
 // respects dependencies (a chain whose parity is itself lost is solved
 // after that parity's own rebuild — cannot happen here since each chain
-// avoids the failed column except for its target cell).
-func (p Plan) Execute(code layout.Code, s *layout.Stripe) (layout.DecodeStats, error) {
-	return p.ExecuteObserved(code, s, nil, nil)
-}
-
-// ExecuteObserved is Execute with telemetry: it wraps the rebuild in a
-// "recovery.rebuild" span with one event per recovered element (chain used,
-// XORs spent) and bumps the recovery.elements_rebuilt / recovery.xors /
-// recovery.blocks_read counters. Pass nil for either argument to use the
-// process-wide defaults.
-func (p Plan) ExecuteObserved(code layout.Code, s *layout.Stripe, reg *telemetry.Registry, tr *telemetry.Tracer) (layout.DecodeStats, error) {
+// avoids the failed column except for its target cell). The rebuild runs
+// in a "recovery.rebuild" span with one event per recovered element (chain
+// used, XORs spent) and bumps the recovery.elements_rebuilt /
+// recovery.xors / recovery.blocks_read counters. Pass nil for either reg
+// or tr to use the process-wide defaults.
+func (p Plan) Execute(code layout.Code, s *layout.Stripe, reg *telemetry.Registry, tr *telemetry.Tracer) (layout.DecodeStats, error) {
 	sp := tr.StartSpan("recovery.rebuild",
 		telemetry.A("code", code.Name()),
 		telemetry.A("failed_column", p.Failed),
@@ -232,11 +227,10 @@ func (p Plan) ExecuteObserved(code layout.Code, s *layout.Stripe, reg *telemetry
 // that stripe's blocks, so stripes fan out over internal/parallel's pool
 // per parallel.WithWorkers (in contiguous cache-budget batches, see
 // parallel.ForEachBatch / WithBatchBytes). Every stripe's failed-column
-// blocks are assumed
-// zeroed, as for Execute. It returns the aggregated DecodeStats (sums over
-// stripes) and stops at the first failing stripe or ctx cancellation.
-// Telemetry counters are bumped per stripe exactly as ExecuteObserved does;
-// pass nil reg/tr for the process-wide defaults.
+// blocks are assumed zeroed, as for Execute. It returns the aggregated
+// DecodeStats (sums over stripes) and stops at the first failing stripe or
+// ctx cancellation. Telemetry counters are bumped per stripe exactly as
+// Execute does; pass nil reg/tr for the process-wide defaults.
 func (p Plan) ExecuteStripes(ctx context.Context, code layout.Code, stripes []*layout.Stripe, reg *telemetry.Registry, tr *telemetry.Tracer, opts ...parallel.Option) (layout.DecodeStats, error) {
 	var (
 		mu    sync.Mutex
@@ -248,7 +242,7 @@ func (p Plan) ExecuteStripes(ctx context.Context, code layout.Code, stripes []*l
 		itemBytes = int64(g.Elements()) * int64(stripes[0].BlockSize)
 	}
 	err := parallel.ForEachBatch(ctx, int64(len(stripes)), itemBytes, func(i int64) error {
-		st, err := p.ExecuteObserved(code, stripes[i], reg, tr)
+		st, err := p.Execute(code, stripes[i], reg, tr)
 		if err != nil {
 			return fmt.Errorf("recovery: stripe %d: %w", i, err)
 		}

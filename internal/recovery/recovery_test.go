@@ -55,7 +55,7 @@ func TestPlanAndExecuteEveryCodeEveryColumn(t *testing.T) {
 				}
 				s := orig.Clone()
 				s.ZeroColumn(failed)
-				st, err := plan.Execute(code, s)
+				st, err := plan.Execute(code, s, nil, nil)
 				if err != nil {
 					t.Fatalf("%s p=%d col %d: %v", name, p, failed, err)
 				}
@@ -131,7 +131,7 @@ func TestEvenoddManyCandidates(t *testing.T) {
 	layout.Encode(code, orig)
 	s := orig.Clone()
 	s.ZeroColumn(0)
-	if _, err := plan.Execute(code, s); err != nil {
+	if _, err := plan.Execute(code, s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Equal(orig) {
@@ -173,7 +173,7 @@ func TestExecuteStripesParallelMatchesSerial(t *testing.T) {
 		// Serial reference stats on a throwaway clone.
 		ref := origs[i].Clone()
 		ref.ZeroColumn(failed)
-		st, err := plan.Execute(code, ref)
+		st, err := plan.Execute(code, ref, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,12 +24,8 @@ type Settings struct {
 	BatchBytes int
 	// BlockSize is the simulated block size in bytes (default 4096).
 	BlockSize int
-	// Orientation selects the Code 5-6 parity rotation (default Left).
-	Orientation Orientation
 	// Layout selects the RAID-5 parity rotation (default LeftAsymmetric).
 	Layout RAID5Layout
-	// Seed seeds the random data an Executor populates its disks with.
-	Seed int64
 	// Throttle inserts a pause after each stripe an OnlineMigrator
 	// converts (0 = full speed).
 	Throttle time.Duration
@@ -127,14 +123,8 @@ func WithBlockSize(b int) Option {
 	}
 }
 
-// WithOrientation selects the Code 5-6 parity rotation.
-func WithOrientation(o Orientation) Option { return func(s *Settings) { s.Orientation = o } }
-
 // WithLayout selects the RAID-5 parity rotation.
 func WithLayout(l RAID5Layout) Option { return func(s *Settings) { s.Layout = l } }
-
-// WithSeed seeds an Executor's random disk contents.
-func WithSeed(seed int64) Option { return func(s *Settings) { s.Seed = seed } }
 
 // WithThrottle paces an online migration: the converter sleeps d after each
 // stripe, bounding its interference with application I/O. Negative
@@ -180,8 +170,7 @@ func WithFaults(cfg FaultConfig) Option {
 // WithBackend selects where a constructed array's blocks live. The spec
 // grammar:
 //
-//	""           in-memory stores (the default; what the positional
-//	             constructors always use)
+//	""           in-memory stores (the default)
 //	"mem:"       in-memory stores, spelled out
 //	"file:<dir>" durable sparse image files (one per disk) in <dir>,
 //	             created if needed, alongside the directory's meta.json
@@ -221,9 +210,8 @@ func WithCheckpointInterval(stripes int64) Option {
 // check Err before using the result.
 func ApplyOptions(opts ...Option) Settings {
 	s := Settings{
-		BlockSize:   4096,
-		Orientation: Left,
-		Layout:      LeftAsymmetric,
+		BlockSize: 4096,
+		Layout:    LeftAsymmetric,
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -264,19 +252,8 @@ func (s Settings) engineOpts() []parallel.Option {
 	return out
 }
 
-// NewCode returns Code 5-6 for p disks (p prime), honoring WithOrientation.
-// It is the option-based form of New / NewOriented.
-func NewCode(p int, opts ...Option) (*Code56, error) {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return NewOriented(p, s.Orientation)
-}
-
 // NewRAID5Array creates a RAID-5 array of m fresh simulated disks, honoring
-// WithBackend, WithBlockSize, WithLayout, WithFaults and WithRetry. It is
-// the option-based form of NewRAID5 (which always builds in-memory disks).
+// WithBackend, WithBlockSize, WithLayout, WithFaults and WithRetry.
 // With a "file:<dir>" backend the array's blocks live in sparse image
 // files under <dir> and the directory's meta.json identity record is
 // written, so OpenRAID5Array can reassemble the array later.
@@ -296,8 +273,7 @@ func NewRAID5Array(m int, opts ...Option) (*RAID5, error) {
 }
 
 // NewRAID6Array creates a RAID-6 array over fresh simulated disks, honoring
-// WithBackend, WithBlockSize, WithFaults and WithRetry. It is the
-// option-based form of NewRAID6 (which always builds in-memory disks).
+// WithBackend, WithBlockSize, WithFaults and WithRetry.
 // With a "file:<dir>" backend the blocks live in sparse image files under
 // <dir> and meta.json is written, so OpenRAID6Array can reassemble the
 // array later.
@@ -346,45 +322,15 @@ func NewMigrator(a *RAID5, rows int64, opts ...Option) (*OnlineMigrator, error) 
 	return m, nil
 }
 
-// NewPlanExecutor sets up an Executor for a conversion plan, honoring
-// WithBlockSize and WithSeed. It is the option-based form of NewExecutor.
-func NewPlanExecutor(plan *Plan, opts ...Option) (*Executor, error) {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return NewExecutor(plan, s.BlockSize, s.Seed), nil
-}
-
 // RunPlan executes a conversion plan under ctx with the plan's independent
-// stripes spread across WithWorkers goroutines. Equivalent to
-// Executor.RunContext; Executor.Run remains the serial form.
+// stripes spread across WithWorkers goroutines (see
+// Executor.RunContext).
 func RunPlan(ctx context.Context, ex *Executor, opts ...Option) error {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
 		return err
 	}
 	return ex.RunContext(ctx, s.engineOpts()...)
-}
-
-// StartMigration starts an online migration bound to ctx: cancelling ctx
-// stops the conversion at the next stripe boundary, leaving the array
-// consistent and resumable (see OnlineMigrator.StartContext). WithWorkers
-// and WithThrottle are applied before starting.
-func StartMigration(ctx context.Context, m *OnlineMigrator, opts ...Option) error {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return err
-	}
-	if s.Workers > 0 {
-		if err := m.SetParallelism(s.Workers); err != nil {
-			return err
-		}
-	}
-	if s.Throttle > 0 {
-		m.SetThrottle(s.Throttle)
-	}
-	return m.StartContext(ctx)
 }
 
 // EncodeArrayStripes (re)computes all parities of stripes 0..stripes-1 of a
@@ -397,23 +343,9 @@ func EncodeArrayStripes(ctx context.Context, a *RAID6, stripes int64, opts ...Op
 	return a.EncodeStripesContext(ctx, stripes, s.engineOpts()...)
 }
 
-// EncodeArrayStripesInterleaved is EncodeArrayStripes with interleaved
-// batches: each worker claims a contiguous run of stripes and encodes it
-// chain-by-chain across the whole run, so reads of each covering column and
-// writes of each parity column stream sequentially instead of striding a
-// full stripe between accesses. Results are bit-identical to
-// EncodeArrayStripes.
-func EncodeArrayStripesInterleaved(ctx context.Context, a *RAID6, stripes int64, opts ...Option) error {
-	s := ApplyOptions(opts...)
-	if err := s.Err(); err != nil {
-		return err
-	}
-	return a.EncodeStripesInterleavedContext(ctx, stripes, s.engineOpts()...)
-}
-
 // RebuildArray rebuilds the given replaced disks of a RAID-6 array across
-// stripes 0..stripes-1 in parallel. Equivalent to Array.RebuildContext;
-// Array.Rebuild remains the serial form.
+// stripes 0..stripes-1, with stripes spread over WithWorkers goroutines
+// (see Array.RebuildContext).
 func RebuildArray(ctx context.Context, a *RAID6, stripes int64, disks []int, opts ...Option) error {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {
@@ -422,16 +354,10 @@ func RebuildArray(ctx context.Context, a *RAID6, stripes int64, disks []int, opt
 	return a.RebuildContext(ctx, stripes, disks, s.engineOpts()...)
 }
 
-// ScrubArray scans stripes 0..stripes-1 of a RAID-6 array for latent sector
-// errors and silent corruption, repairing what it can, with stripes spread
-// over WithWorkers goroutines. Equivalent to Array.ScrubContext;
-// Array.Scrub remains the serial form.
-func ScrubArray(ctx context.Context, a *RAID6, stripes int64, opts ...Option) (ScrubReport, error) {
-	return ScrubArrayMode(ctx, a, stripes, ScrubRepair, opts...)
-}
-
-// ScrubArrayMode is ScrubArray with an explicit repair/check mode:
-// ScrubRepair rewrites what it can; ScrubCheck only detects and counts.
+// ScrubArrayMode scans stripes 0..stripes-1 of a RAID-6 array for latent
+// sector errors and silent corruption, with stripes spread over
+// WithWorkers goroutines (see Array.ScrubContextMode). ScrubRepair
+// rewrites what it can; ScrubCheck only detects and counts.
 func ScrubArrayMode(ctx context.Context, a *RAID6, stripes int64, mode ScrubMode, opts ...Option) (ScrubReport, error) {
 	s := ApplyOptions(opts...)
 	if err := s.Err(); err != nil {

@@ -14,17 +14,17 @@ import (
 func TestOptionDefaultsAndOverrides(t *testing.T) {
 	s := ApplyOptions()
 	if s.BlockSize != 4096 || s.Workers != 0 || s.ChunkSize != 0 ||
-		s.Orientation != Left || s.Layout != LeftAsymmetric || s.Throttle != 0 {
+		s.Layout != LeftAsymmetric || s.Throttle != 0 {
 		t.Fatalf("unexpected defaults: %+v", s)
 	}
 	s = ApplyOptions(
 		WithWorkers(8), WithChunkSize(1<<20), WithBlockSize(64),
-		WithBatchBytes(1<<19), WithOrientation(Right), WithLayout(RightSymmetric),
-		WithSeed(7), WithThrottle(time.Millisecond), nil,
+		WithBatchBytes(1<<19), WithLayout(RightSymmetric),
+		WithThrottle(time.Millisecond), nil,
 	)
 	if s.Workers != 8 || s.ChunkSize != 1<<20 || s.BlockSize != 64 ||
-		s.BatchBytes != 1<<19 || s.Orientation != Right || s.Layout != RightSymmetric ||
-		s.Seed != 7 || s.Throttle != time.Millisecond {
+		s.BatchBytes != 1<<19 || s.Layout != RightSymmetric ||
+		s.Throttle != time.Millisecond {
 		t.Fatalf("options not applied: %+v", s)
 	}
 }
@@ -57,13 +57,10 @@ func TestOptionValidation(t *testing.T) {
 				t.Fatalf("%s accepted silently", tc.name)
 			}
 
-			if _, err := NewCode(5, tc.opt); err == nil {
-				t.Errorf("NewCode swallowed %s", tc.name)
-			}
 			if _, err := NewRAID5Array(4, tc.opt); err == nil {
 				t.Errorf("NewRAID5Array swallowed %s", tc.name)
 			}
-			code, err := NewCode(5)
+			code, err := New(5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,8 +78,8 @@ func TestOptionValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := NewPlanExecutor(plan, tc.opt); err == nil {
-				t.Errorf("NewPlanExecutor swallowed %s", tc.name)
+			if err := RunPlan(context.Background(), NewExecutor(plan, 32, 1), tc.opt); err == nil {
+				t.Errorf("RunPlan swallowed %s", tc.name)
 			}
 			a, err := NewRAID6Array(code, WithBlockSize(32))
 			if err != nil {
@@ -92,8 +89,8 @@ func TestOptionValidation(t *testing.T) {
 			if err := EncodeArrayStripes(ctx, a, 1, tc.opt); err == nil {
 				t.Errorf("EncodeArrayStripes swallowed %s", tc.name)
 			}
-			if _, err := ScrubArray(ctx, a, 1, tc.opt); err == nil {
-				t.Errorf("ScrubArray swallowed %s", tc.name)
+			if _, err := ScrubArrayMode(ctx, a, 1, ScrubRepair, tc.opt); err == nil {
+				t.Errorf("ScrubArrayMode swallowed %s", tc.name)
 			}
 			if err := RebuildArray(ctx, a, 1, nil, tc.opt); err == nil {
 				t.Errorf("RebuildArray swallowed %s", tc.name)
@@ -131,21 +128,9 @@ func TestOptionFaultsAndRetryApply(t *testing.T) {
 	}
 }
 
-// TestOptionConstructorsMatchPositional: the option-based constructors must
-// be behaviorally identical to the positional forms they wrap.
+// TestOptionConstructorsMatchPositional: the array constructors honour
+// WithLayout and WithBlockSize.
 func TestOptionConstructorsMatchPositional(t *testing.T) {
-	c1, err := NewCode(5, WithOrientation(Right))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := NewOriented(5, Right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Name() != c2.Name() || c1.Geometry() != c2.Geometry() {
-		t.Fatal("NewCode diverges from NewOriented")
-	}
-
 	r5, err := NewRAID5Array(4, WithBlockSize(32), WithLayout(LeftSymmetric))
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +139,11 @@ func TestOptionConstructorsMatchPositional(t *testing.T) {
 		t.Fatal("NewRAID5Array options ignored")
 	}
 
-	a, err := NewRAID6Array(c2, WithBlockSize(128))
+	code, err := New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewRAID6Array(code, WithBlockSize(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +156,7 @@ func TestOptionConstructorsMatchPositional(t *testing.T) {
 // recover through the option-based context entry points.
 func TestFacadeParallelLifecycle(t *testing.T) {
 	ctx := context.Background()
-	code, err := NewCode(7)
+	code, err := New(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +178,7 @@ func TestFacadeParallelLifecycle(t *testing.T) {
 	if err := EncodeArrayStripes(ctx, a, stripes, WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
-	// The interleaved bulk encoder must be a drop-in: re-encoding already
-	// consistent stripes leaves the array verifying clean.
-	if err := EncodeArrayStripesInterleaved(ctx, a, stripes, WithWorkers(4)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ScrubArray(ctx, a, stripes, WithWorkers(4))
+	rep, err := ScrubArrayMode(ctx, a, stripes, ScrubRepair, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +228,9 @@ func TestFacadeParallelLifecycle(t *testing.T) {
 	}
 }
 
-// TestFacadeMigrationOptions: NewMigrator and StartMigration honor
-// WithWorkers/WithThrottle, run a full conversion, and propagate ctx
-// cancellation through RunPlan.
+// TestFacadeMigrationOptions: NewMigrator honours WithWorkers, the
+// migrator started with StartContext runs a full conversion, and RunPlan
+// propagates ctx cancellation.
 func TestFacadeMigrationOptions(t *testing.T) {
 	r5, err := NewRAID5Array(4, WithBlockSize(32))
 	if err != nil {
@@ -267,7 +251,7 @@ func TestFacadeMigrationOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := StartMigration(context.Background(), mig); err != nil {
+	if err := mig.StartContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := mig.Wait(); err != nil {
@@ -292,20 +276,14 @@ func TestFacadeMigrationOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewPlanExecutor(plan, WithBlockSize(32), WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := NewExecutor(plan, 32, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := RunPlan(ctx, ex, WithWorkers(2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// And a fresh run completes and verifies.
-	ex, err = NewPlanExecutor(plan, WithBlockSize(32), WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex = NewExecutor(plan, 32, 11)
 	if err := RunPlan(context.Background(), ex, WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
